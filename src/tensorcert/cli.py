@@ -26,7 +26,7 @@ from .groebner import (
     reduce_basis,
 )
 from .ideals import candidate_basis, intersect_pair
-from .parse import ParseError, parse_polynomial, render_polynomial
+from .parse import ParseError, parse_polynomial, render_polynomial, tokenize
 from .report import EXIT_CONFIG, CertReport, emit_report
 from .verify import (
     CaseResult,
@@ -43,7 +43,6 @@ from .xyz import (
     elimination_order,
     letter_block_order,
     order_from_spec,
-    split_name,
     xyz_ring,
 )
 
@@ -137,7 +136,11 @@ def _sweep(n_max: int, explicit: list[Signature] | None) -> list[Signature]:
 
 
 def _case_specs(suite: str, n_max: int, sigs: list[Signature] | None, budget: int):
-    """Picklable (kind, payload) tuples; order defines stable case ids."""
+    """Picklable (kind, payload, budget) tuples; order defines stable case ids.
+
+    A tensoriality payload is the fleet family itself, so workers never
+    rebuild the fleet.
+    """
     specs = []
     if suite in ("gen-set", "all"):
         for sig in _sweep(n_max, sigs):
@@ -154,7 +157,7 @@ def _case_specs(suite: str, n_max: int, sigs: list[Signature] | None, budget: in
     if suite in ("tensoriality", "all"):
         for entry in build_fleet():
             if entry.family.signature.n <= n_max:
-                specs.append(("tensoriality", entry.name, budget))
+                specs.append(("tensoriality", entry, budget))
         specs.append(("tensoriality-unit", None, budget))
     return specs
 
@@ -170,8 +173,7 @@ def _run_spec(spec) -> CaseResult:
     if kind == "oracle-equiv":
         return oracle_equivalence_case(Signature.parse(payload), budget)
     if kind == "tensoriality":
-        entry = next(e for e in build_fleet() if e.name == payload)
-        return tensoriality_case(entry)
+        return tensoriality_case(payload)
     if kind == "tensoriality-unit":
         return unit_not_tensorial_case()
     raise ValueError(f"unknown case kind {kind}")
@@ -187,8 +189,9 @@ def run_suite(
     if n_max < 1:
         raise UsageError("--n must be at least 1")
     specs = _case_specs(suite, n_max, signatures, step_budget)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = min(workers, len(specs), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             cases = list(pool.map(_run_spec, specs))
     else:
         cases = [_run_spec(s) for s in specs]
@@ -215,11 +218,23 @@ def _cmd_certify(args) -> int:
     report = run_suite(args.suite, args.n_max, sigs, budget, max(1, args.workers))
     rendered = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(emit_report(report, "json"))
-            handle.write("\n")
+        _write_atomically(args.out, emit_report(report, "json") + "\n")
     print(rendered)
     return report.exit_code()
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write via a temporary file in the same directory, then rename it over
+    ``path``, so a reader never sees a half-written report."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # -- gens / gb / intersect -------------------------------------------------------
@@ -250,39 +265,22 @@ def _read_ideal(path: str, n_hint: int | None):
         raise UsageError(f"{path} contains no polynomials")
     n = n_hint or 0
     uses_t = False
-    for line in lines:
-        for token in _scan_vars(line):
-            letter, idx = token
-            if letter == "t":
-                uses_t = True
-            else:
-                n = max(n, idx)
-    if n < 1:
-        raise UsageError(f"{path}: could not infer the index range; pass --n")
-    ring = xyz_ring(n, with_t=uses_t)
     try:
+        for line in lines:
+            for token in tokenize(line):
+                if token.kind != "name":
+                    continue
+                if token.text[0] == "t":
+                    uses_t = True
+                elif token.text[0] in "xyz" and len(token.text) > 1:
+                    n = max(n, int(token.text[1:]))
+        if n < 1:
+            raise UsageError(f"{path}: could not infer the index range; pass --n")
+        ring = xyz_ring(n, with_t=uses_t)
         polys = [parse_polynomial(line, ring) for line in lines]
     except ParseError as exc:
         raise UsageError(f"{path}: {exc}")
     return polys, n, uses_t
-
-
-def _scan_vars(line: str):
-    pos = 0
-    while pos < len(line):
-        ch = line[pos]
-        if ch in "xyzt":
-            end = pos + 1
-            while end < len(line) and line[end].isdigit():
-                end += 1
-            name = line[pos:end]
-            try:
-                yield split_name(name)
-            except ValueError:
-                pass
-            pos = end
-        else:
-            pos += 1
 
 
 def _cmd_gb(args) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .chart import Chart, CommutingFamily, GeneralizedSection, _check_chart
 from .poly import Polynomial
-from .xyz import Signature, ring_size, uses_t
+from .xyz import Signature, ring_size, split_terms, uses_t
 
 Vector = tuple[Polynomial, ...]
 
@@ -123,19 +123,7 @@ def polynomial_action(
     n = ring_size(poly.ring)
     if n != family.n:
         raise ValueError(f"polynomial has {n} indices but the family has {family.n}")
-    ring = poly.ring
-    xs = [ring.index(f"x{i}") for i in range(1, n + 1)]
-    ys = [ring.index(f"y{i}") for i in range(1, n + 1)]
-    zs = [ring.index(f"z{i}") for i in range(1, n + 1)]
-    terms = [
-        (
-            tuple(m[p] for p in xs),
-            tuple(m[p] for p in ys),
-            tuple(m[p] for p in zs),
-            coeff,
-        )
-        for m, coeff in poly.terms()
-    ]
+    terms = split_terms(poly)
 
     def ev(a, b, c):
         acc = family.chart.ring.zero
@@ -149,20 +137,6 @@ def polynomial_action(
         return acc
 
     return TrilinearForm(family.chart, ev)
-
-
-def _term_groups(poly: Polynomial):
-    """Terms of an action polynomial, grouped by the (I, J) power pair."""
-    n = ring_size(poly.ring)
-    ring = poly.ring
-    xs = [ring.index(f"x{i}") for i in range(1, n + 1)]
-    ys = [ring.index(f"y{i}") for i in range(1, n + 1)]
-    zs = [ring.index(f"z{i}") for i in range(1, n + 1)]
-    groups: dict[tuple, list] = {}
-    for m, coeff in poly.terms():
-        key = (tuple(m[p] for p in xs), tuple(m[p] for p in ys))
-        groups.setdefault(key, []).append((tuple(m[p] for p in zs), coeff))
-    return groups
 
 
 def _powers_applied(family: CommutingFamily, powers, sections):
@@ -204,7 +178,10 @@ def tensoriality_defect(
             f"polynomial has {ring_size(poly.ring)} indices but the family has {family.n}"
         )
     chart = family.chart
-    groups = _term_groups(poly)
+    # terms grouped by the (I, J) power pair, so brackets are shared over K
+    groups: dict[tuple, list] = {}
+    for I, J, K, coeff in split_terms(poly):
+        groups.setdefault((I, J), []).append((K, coeff))
     powers = {p for (pi, pj) in groups for p in (pi, pj)}
     powers.update(pk for ks in groups.values() for pk, _ in ks)
     basis = chart.basis_sections()

@@ -449,15 +449,11 @@ def reduce_basis(basis: GroebnerBasis, step_budget: StepBudget | None = None) ->
 
 
 def groebner_basis(
-    presentation: IdealPresentation,
-    step_budget: StepBudget | None = None,
-    skip_coprime_pairs: bool = True,
+    presentation: IdealPresentation, step_budget: StepBudget | None = None
 ) -> GroebnerBasis:
     """Buchberger followed by reduction to the canonical basis."""
     budget = step_budget or StepBudget()
-    return reduce_basis(
-        buchberger(presentation, budget, skip_coprime_pairs=skip_coprime_pairs), budget
-    )
+    return reduce_basis(buchberger(presentation, budget), budget)
 
 
 def eliminate(basis: GroebnerBasis, variable: str = "t") -> GroebnerBasis:

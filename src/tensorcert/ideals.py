@@ -6,7 +6,13 @@ For a signature eps the three axis ideals are
 
 and the universally tensorial ideal is their intersection.  Membership in it
 has two independent oracles besides Groebner membership: a linear system on
-the coefficient tensor, and vanishing on the three linear subvarieties.
+the coefficient tensor, and vanishing on the three linear subvarieties, each
+reached by a signed renaming of one letter.
+
+Intersections use the t-trick, built in one place (``scale_into_t_ring``).
+Ideal equality is decided by comparing reduced Groebner bases, which are
+unique for (ideal, order); ``ideal_contains`` only names a witness once two
+bases differ.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .groebner import (
     reduce_basis,
 )
 from .poly import MonomialOrder, Polynomial, PolyRing
-from .xyz import Signature, uses_t, xyz_ring
+from .xyz import Signature, split_terms, uses_t, xyz_ring
 
 
 @dataclass(frozen=True)
@@ -132,37 +138,15 @@ def candidate_basis(sig: Signature, ring: PolyRing | None = None) -> CandidateBa
 # -- the two non-Groebner oracles ----------------------------------------------
 
 
-def coefficient_tensor(f: Polynomial) -> dict[tuple, Fraction]:
-    """a_{I,J,K} keyed by the exponent triple (I, J, K) of x^I y^J z^K."""
-    if uses_t(f):
-        raise ValueError("coefficient tensor undefined for t-dependent polynomials")
-    from .xyz import ring_size
-
-    n = ring_size(f.ring)
-    ring = f.ring
-    xs = [ring.index(f"x{i}") for i in range(1, n + 1)]
-    ys = [ring.index(f"y{i}") for i in range(1, n + 1)]
-    zs = [ring.index(f"z{i}") for i in range(1, n + 1)]
-    out = {}
-    for m, c in f.terms():
-        key = (
-            tuple(m[p] for p in xs),
-            tuple(m[p] for p in ys),
-            tuple(m[p] for p in zs),
-        )
-        out[key] = c
-    return out
-
-
 def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
-    """Check the three families of linear equations on the coefficient tensor:
+    """Check the three families of linear equations on the coefficient tensor
+    a_{I,J,K} of x^I y^J z^K:
 
     sum_J eps^J a_{I,J,T-J} = 0,  sum_J eps^J a_{J,T-J,I} = 0,
     sum_J eps^J a_{T-J,I,J} = 0   for all (I, T).
     """
-    tensor = coefficient_tensor(f)
     buckets: dict[tuple, Fraction] = {}
-    for (I, J, K), a in tensor.items():
+    for I, J, K, a in split_terms(f):
         t_jk = tuple(p + q for p, q in zip(J, K))
         t_ij = tuple(p + q for p, q in zip(I, J))
         t_ik = tuple(p + q for p, q in zip(I, K))
@@ -179,28 +163,26 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     return not buckets
 
 
-def variety_substitutions(sig: Signature, ring: PolyRing) -> list[dict[str, Polynomial]]:
-    """The three substitutions y=diag(eps)z, z=diag(eps)x, x=diag(eps)y."""
-    n = sig.n
-    subs = []
-    for src, dst in (("y", "z"), ("z", "x"), ("x", "y")):
-        subs.append(
-            {
-                f"{src}{i}": ring.monomial({f"{dst}{i}": 1}, sig[i])
-                for i in range(1, n + 1)
-            }
-        )
-    return subs
-
-
 def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
-    """True iff all three linear-component substitutions send f to zero."""
+    """True iff f vanishes on the three linear components y = diag(eps) z,
+    z = diag(eps) x and x = diag(eps) y.
+
+    Each substitution sends a variable to a signed variable, so it maps a
+    term to a single term: flip its sign by eps^E, E the exponents of the
+    substituted letter, then rename that letter.
+    """
     if uses_t(f):
         raise ValueError("variety test undefined for t-dependent polynomials")
-    return all(
-        f.substitute(sub, ring=f.ring).is_zero()
-        for sub in variety_substitutions(sig, f.ring)
-    )
+    ring = f.ring
+    for src, dst in (("y", "z"), ("z", "x"), ("x", "y")):
+        names = [f"{src}{i}" for i in range(1, sig.n + 1)]
+        positions = [ring.index(v) for v in names]
+        signed = ring.from_terms(
+            {m: sig.power(m[p] for p in positions) * c for m, c in f.terms()}
+        )
+        if not signed.rename({v: dst + v[1:] for v in names}).is_zero():
+            return False
+    return True
 
 
 # -- intersections and products -------------------------------------------------
@@ -272,13 +254,3 @@ def ideal_contains(
         if not membership(f.map_ring(basis.ring), basis, step_budget):
             return False, f
     return True, None
-
-
-def ideals_equal(
-    a: GroebnerBasis, b: GroebnerBasis, step_budget: StepBudget | None = None
-) -> tuple[bool, Polynomial | None]:
-    """Mutual membership of the two bases' elements."""
-    ok, witness = ideal_contains(b, a.elements, step_budget)
-    if not ok:
-        return False, witness
-    return ideal_contains(a, b.elements, step_budget)

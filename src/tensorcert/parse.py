@@ -37,7 +37,7 @@ class _Token:
     col: int
 
 
-def _tokenize(src: str) -> list[_Token]:
+def tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
     i = 0
@@ -173,7 +173,7 @@ class _Parser:
 
 def parse_polynomial(src: str, ring: PolyRing) -> Polynomial:
     """Parse the grammar above into an exact polynomial over ``ring``."""
-    parser = _Parser(_tokenize(src), ring)
+    parser = _Parser(tokenize(src), ring)
     if parser.peek().kind == "end":
         parser.error("empty input")
     result = parser.parse_expr()

@@ -348,10 +348,6 @@ def mono_gcd(a: Exponents, b: Exponents) -> Exponents:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-def mono_coprime(a: Exponents, b: Exponents) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 # -- monomial orders ----------------------------------------------------------
 
 
@@ -408,10 +404,6 @@ def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fracti
     key = order.key_for(f.ring)
     m = max(f._terms, key=key)
     return m, f._terms[m]
-
-
-def leading_monomial(f: Polynomial, order: MonomialOrder) -> Exponents:
-    return leading_term(f, order)[0]
 
 
 def sorted_terms(f: Polynomial, order: MonomialOrder) -> list[tuple[Exponents, Fraction]]:

@@ -3,6 +3,11 @@
 Every verifier is a pure function of its inputs (random sampling is seeded
 from the case id), so cases can run concurrently and reports are reproducible
 modulo wall-clock fields.
+
+Ideal equalities (gen-set, knutson) are certified by syntactic equality of
+reduced Groebner bases under one order; reduced bases are unique for
+(ideal, order), so one comparison proves both inclusions.  Membership runs
+only once the bases differ, to name a witness for each failing direction.
 """
 
 from __future__ import annotations
@@ -42,29 +47,29 @@ from .ideals import (
     generator_P,
     generator_T,
     ideal_contains,
-    ideals_equal,
     intersect_pair,
     is_universally_tensorial_linear,
     knutson_F,
     product_ideal,
+    scale_into_t_ring,
     vanishes_on_variety,
 )
 from .parse import render_polynomial
-from .poly import MonomialOrder, Polynomial, leading_term, monic
+from .poly import MonomialOrder, Polynomial, leading_term
 from .xyz import (
-    S3_PERMUTATIONS,
     Signature,
-    apply_s3,
     elimination_order,
     indices_of,
     letter_block_order,
-    multidegree_components,
     pair_order,
     xyz_ring,
 )
 
 DEFAULT_ORACLE_SAMPLES = 500
 SEED_TAG = "tensorcert-2026"
+# witness for reduced bases that differ while each ideal contains the other,
+# which uniqueness of reduced bases rules out unless the engine is at fault
+BASES_DIFFER = "reduced bases differ but membership holds both ways"
 
 
 @dataclass
@@ -119,33 +124,24 @@ def _seed(case_id: str) -> random.Random:
 # -- generating-set certification -----------------------------------------------------
 
 
+def _j_ideal_factors(sig: Signature) -> tuple[IdealPresentation, IdealPresentation]:
+    """I^x and the product I^y I^z, generators by increasing index."""
+    axes = build_axis_ideals(sig, elimination_order(sig.n).without("t"))
+    return axes.i_x, product_ideal(axes.i_y, axes.i_z)
+
+
 def j_ideal_presentation(sig: Signature) -> IdealPresentation:
     """tI^x + (1-t) I^y I^z with the prescribed generator ordering.
 
     The t(y_i - e_i z_i) come first by increasing i, then the products
     (1-t)(z_i - e_i x_i)(x_j - e_j y_j) ordered by (i, j).
     """
-    n = sig.n
-    ring = xyz_ring(n, with_t=True)
-    order = elimination_order(n)
-    t = ring.var("t")
-    one_minus_t = ring.one - t
-    gens = []
-    for i in range(1, n + 1):
-        gens.append(t * (ring.var(f"y{i}") - ring.monomial({f"z{i}": 1}, sig[i])))
-    for i in range(1, n + 1):
-        gi = ring.var(f"z{i}") - ring.monomial({f"x{i}": 1}, sig[i])
-        for j in range(1, n + 1):
-            hj = ring.var(f"x{j}") - ring.monomial({f"y{j}": 1}, sig[j])
-            gens.append(one_minus_t * gi * hj)
-    return IdealPresentation(tuple(gens), order)
+    return scale_into_t_ring(*_j_ideal_factors(sig), elimination_order(sig.n))
 
 
 def tensorial_ideal_basis(sig: Signature, budget: StepBudget | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the triple intersection, via the t-trick."""
-    budget = budget or StepBudget()
-    basis = reduce_basis(buchberger(j_ideal_presentation(sig), budget), budget)
-    return eliminate(basis, "t")
+    return intersect_pair(*_j_ideal_factors(sig), elimination_order(sig.n), budget)
 
 
 def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
@@ -199,24 +195,23 @@ def gen_set_case(
         ring = intersection.ring
         order = intersection.order
         cand = candidate_basis(sig, ring)
-
-        ok_fwd, missing = ideal_contains(intersection, cand.members, budget)
+        cand_gb = reduce_basis(
+            buchberger(IdealPresentation(cand.members, order), budget), budget
+        )
+        # reduced bases are unique for (ideal, order): equal bases prove both
+        # inclusions; membership only runs to name a witness once they differ
+        same = cand_gb.elements == intersection.elements
+        ok_fwd = ok_bwd = same
+        if not same:
+            ok_fwd, missing = ideal_contains(intersection, cand.members, budget)
+            ok_bwd, extra = ideal_contains(cand_gb, intersection.elements, budget)
+            if ok_fwd and ok_bwd:  # only an engine fault gets here
+                case.status = "fail"
+                case.witnesses.append(BASES_DIFFER)
         case.details["candidates_in_intersection"] = ok_fwd
         if not ok_fwd:
             case.status = "fail"
             case.witnesses.append(render_polynomial(missing, order))
-
-        # basis elements that literally are candidate generators (up to the
-        # leading coefficient) need no division; the rest get a real
-        # membership test against a basis of the candidate ideal
-        verbatim = {monic(g, order) for g in cand.members}
-        leftovers = [h for h in intersection.elements if h not in verbatim]
-        if leftovers:
-            cand_pres = IdealPresentation(cand.members, order)
-            cand_gb = reduce_basis(buchberger(cand_pres, budget), budget)
-            ok_bwd, extra = ideal_contains(cand_gb, leftovers, budget)
-        else:
-            ok_bwd, extra = True, None
         case.details["intersection_in_candidates"] = ok_bwd
         if not ok_bwd:
             case.status = "fail"
@@ -241,35 +236,6 @@ def gen_set_case(
             if not agreed:
                 case.status = "fail"
                 case.witnesses.append("double-elimination route disagrees")
-    except BudgetExceededError:
-        case.status = "budget"
-    return _timed(case, started)
-
-
-def s3_invariance_case(sig: Signature, budget_limit: int) -> CaseResult:
-    """The ideal is S3-invariant and split by the multigrading."""
-    n = sig.n
-    case = CaseResult(
-        case_id=f"s3-invariance/N{n}/{sig}",
-        suite="gen-set",
-        claim="the intersection ideal is S3-invariant and preserved by the multigrading",
-        n=n,
-        signature=str(sig),
-        status="pass",
-    )
-    started = time.perf_counter()
-    budget = StepBudget(budget_limit)
-    try:
-        basis = tensorial_ideal_basis(sig, budget)
-        for g in basis.elements:
-            for name, sigma in S3_PERMUTATIONS.items():
-                if not membership(apply_s3(g, sigma), basis, budget):
-                    case.status = "fail"
-                    case.witnesses.append(f"{name}: {render_polynomial(g, basis.order)}")
-            for component in multidegree_components(g).values():
-                if not membership(component, basis, budget):
-                    case.status = "fail"
-                    case.witnesses.append(render_polynomial(component, basis.order))
     except BudgetExceededError:
         case.status = "budget"
     return _timed(case, started)
@@ -304,12 +270,17 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
             product_gb = reduce_basis(buchberger(product, budget), budget)
             elim = MonomialOrder(("t",) + order.ranking, eliminates="t")
             intersection = intersect_pair(first, second, elim, budget)
-            equal, witness = ideals_equal(product_gb, intersection, budget)
+            # the orders agree (elim.without("t") == order), so equal reduced
+            # bases are equal ideals; membership only names the witness
+            equal = product_gb.elements == intersection.elements
             key = "".join(pair)
             case.details[f"{key}_product_equals_intersection"] = equal
             if not equal:
                 case.status = "fail"
-                case.witnesses.append(render_polynomial(witness, order))
+                ok, witness = ideal_contains(intersection, product_gb.elements, budget)
+                if ok:
+                    ok, witness = ideal_contains(product_gb, intersection.elements, budget)
+                case.witnesses.append(BASES_DIFFER if ok else render_polynomial(witness, order))
             lead_ideal = initial_ideal(product_gb)
             sqfree = lead_ideal.is_squarefree()
             case.details[f"{key}_initial_ideal_squarefree"] = sqfree

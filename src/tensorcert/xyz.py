@@ -2,16 +2,18 @@
 
 Variables are named ``x1 .. xN, y1 .. yN, zN`` plus the auxiliary ``t`` used
 by elimination; ``t`` is an ordinary variable that happens to outrank the rest
-in elimination orders.
+in elimination orders.  This module owns the ring layout, so the split of a
+monomial into its exponent vectors x^I y^J z^K lives here (``split_terms``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .poly import MonomialOrder, Polynomial, PolyRing
+from .poly import Exponents, MonomialOrder, Polynomial, PolyRing
 
 LETTERS = ("x", "y", "z")
 
@@ -60,6 +62,18 @@ def indices_of(f: Polynomial) -> set[int]:
 
 def uses_t(f: Polynomial) -> bool:
     return "t" in f.support_vars()
+
+
+def split_terms(f: Polynomial) -> list[tuple[Exponents, Exponents, Exponents, Fraction]]:
+    """(I, J, K, coefficient) for every term x^I y^J z^K of a t-free polynomial."""
+    if uses_t(f):
+        raise ValueError("the x^I y^J z^K split is undefined for t-dependent polynomials")
+    ring = f.ring
+    n = ring_size(ring)
+    blocks = [[ring.index(f"{w}{i}") for i in range(1, n + 1)] for w in LETTERS]
+    return [
+        (*(tuple(m[p] for p in block) for block in blocks), c) for m, c in f.terms()
+    ]
 
 
 # -- signatures ---------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Axis ideals, the T/P generators, membership oracles, and intersections."""
 
-import pytest
+import itertools
 
-from conftest import seeded
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import polynomials, seeded
 from tensorcert.groebner import (
     IdealPresentation,
     buchberger,
@@ -15,6 +19,7 @@ from tensorcert.ideals import (
     candidate_basis,
     generator_P,
     generator_T,
+    ideal_contains,
     intersect_pair,
     is_universally_tensorial_linear,
     knutson_F,
@@ -242,3 +247,79 @@ class TestClosedForms:
         assert not membership(quadratic, torsions_only)
         full = groebner_basis(IdealPresentation(cand.members, order))
         assert membership(quadratic, full)
+
+
+# -- properties against reference implementations ---------------------------------
+
+AXIS_PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
+
+
+def signatures(max_n: int = 2):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(*[st.sampled_from((1, -1))] * n).map(Signature)
+    )
+
+
+@st.composite
+def product_generator_lists(draw):
+    """Two generator lists drawn from one axis-ideal product at N <= 2.
+
+    Sums of two products lie in the same ideal, and a multiple of a listed
+    generator adds nothing, so distinct lists often generate one ideal.
+    """
+    sig = draw(signatures())
+    pair = draw(st.sampled_from(AXIS_PAIRS))
+    ring = xyz_ring(sig.n)
+    order = pair_order(pair, sig.n)
+    first, second = build_axis_ideals(sig, order, ring).pair(pair)
+    gens = list(product_ideal(first, second).generators)
+    pool = gens + [g + h for g, h in itertools.combinations(gens, 2)]
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+    a = draw(pick)
+    b = draw(
+        st.one_of(
+            pick,
+            st.permutations(a),
+            st.just(a + [a[0] * ring.var("x1")]),
+        )
+    )
+    return order, a, list(b)
+
+
+@given(data=product_generator_lists())
+@settings(max_examples=40, deadline=None)
+def test_reduced_basis_equality_matches_mutual_membership(data):
+    order, a, b = data
+    gb_a = groebner_basis(IdealPresentation(tuple(a), order))
+    gb_b = groebner_basis(IdealPresentation(tuple(b), order))
+    mutual = ideal_contains(gb_a, b)[0] and ideal_contains(gb_b, a)[0]
+    assert (gb_a.elements == gb_b.elements) == mutual
+
+
+def variety_by_substitution(f, sig):
+    """Reference: compose with y = eps z, z = eps x and x = eps y in turn."""
+    ring = f.ring
+    for src, dst in (("y", "z"), ("z", "x"), ("x", "y")):
+        sub = {
+            f"{src}{i}": ring.monomial({f"{dst}{i}": 1}, sig[i])
+            for i in range(1, sig.n + 1)
+        }
+        if not f.substitute(sub, ring=ring).is_zero():
+            return False
+    return True
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_signed_rename_variety_matches_substitution(data):
+    sig = data.draw(signatures())
+    ring = xyz_ring(sig.n)
+    f = data.draw(polynomials(ring, max_terms=4))
+    # multiples of a generator vanish on one, two or all three components
+    axes = build_axis_ideals(sig, letter_block_order(sig.n), ring)
+    factors = list(candidate_basis(sig, ring).members)
+    factors += axes.i_x.generators + axes.i_y.generators + axes.i_z.generators
+    factors += [g * h for g, h in itertools.product(axes.i_y.generators, axes.i_z.generators)]
+    if data.draw(st.booleans()):
+        f = f * data.draw(st.sampled_from(factors))
+    assert vanishes_on_variety(f, sig) == variety_by_substitution(f, sig)

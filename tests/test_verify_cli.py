@@ -13,7 +13,6 @@ from tensorcert.verify import (
     gen_set_case,
     knutson_case,
     oracle_equivalence_case,
-    s3_invariance_case,
     squeeze_case,
     tensoriality_case,
     unit_not_tensorial_case,
@@ -77,9 +76,51 @@ class TestVerifiers:
         assert one == two
 
     def test_s3_invariance_small(self):
+        # the intersection is S3-invariant and split by the multigrading
+        from tensorcert.groebner import membership
+        from tensorcert.verify import tensorial_ideal_basis
+        from tensorcert.xyz import S3_PERMUTATIONS, apply_s3, multidegree_components
+
         for sig in (Signature((1,)), Signature((1, -1))):
-            case = s3_invariance_case(sig, BUDGET)
-            assert case.status == "pass", case.witnesses
+            basis = tensorial_ideal_basis(sig)
+            for g in basis.elements:
+                for name, sigma in S3_PERMUTATIONS.items():
+                    assert membership(apply_s3(g, sigma), basis), (sig, name, g)
+                for component in multidegree_components(g).values():
+                    assert membership(component, basis), (sig, component)
+
+    def test_gen_set_names_missing_quadratic(self, monkeypatch):
+        import tensorcert.verify as verify
+        from tensorcert.ideals import CandidateBasis, candidate_basis
+        from tensorcert.parse import parse_polynomial
+        from tensorcert.xyz import xyz_ring
+
+        def torsions_only(sig, ring=None):
+            return CandidateBasis(candidate_basis(sig, ring).torsion_gens, (), sig)
+
+        monkeypatch.setattr(verify, "candidate_basis", torsions_only)
+        case = gen_set_case(Signature((1, 1)), BUDGET)
+        assert case.status == "fail"
+        assert case.details["candidates_in_intersection"]
+        assert not case.details["intersection_in_candidates"]
+        (witness,) = case.witnesses
+        assert not parse_polynomial(witness, xyz_ring(2)).is_zero()
+
+    def test_gen_set_names_foreign_candidate(self, monkeypatch):
+        import tensorcert.verify as verify
+        from tensorcert.ideals import CandidateBasis, candidate_basis
+
+        def with_x1(sig, ring=None):
+            cand = candidate_basis(sig, ring)
+            extra = (cand.torsion_gens[0].ring.var("x1"),)
+            return CandidateBasis(cand.torsion_gens, cand.quadratic_gens + extra, sig)
+
+        monkeypatch.setattr(verify, "candidate_basis", with_x1)
+        case = gen_set_case(Signature((1, 1)), BUDGET)
+        assert case.status == "fail"
+        assert not case.details["candidates_in_intersection"]
+        assert case.details["intersection_in_candidates"]
+        assert case.witnesses == ["x1"]
 
     def test_tensoriality_case_small(self):
         fleet = {e.name: e for e in build_fleet()}
@@ -259,6 +300,47 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0
+
+    def test_out_is_written_atomically(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("stale")
+        args = ["certify", "--suite", "knutson", "--n", "1", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["summary"]["total"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_workers_are_clamped(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        import tensorcert.cli as cli
+
+        started = []
+
+        class RecordingPool(concurrent.futures.Executor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        report = run_suite("knutson", 2, workers=64)  # 6 cases, 3 cpus
+        assert started == [3]
+        assert report.workers == 64
+        run_suite("knutson", 1, workers=64)  # 2 cases
+        assert started == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_suite("knutson", 2, workers=64)  # one cpu: no pool at all
+        assert started == [3, 2]
+
+    def test_parallel_tensoriality_matches_serial(self):
+        serial = run_suite("tensoriality", 1, workers=1)
+        parallel = run_suite("tensoriality", 1, workers=2)
+        for case in serial.cases + parallel.cases:
+            case.wall_time_ms = 0
+        assert [c.to_dict() for c in parallel.cases] == [c.to_dict() for c in serial.cases]
 
     def test_parallel_workers_match_serial(self):
         serial = run_suite("knutson", 2, workers=1)
