@@ -41,11 +41,11 @@ from .groebner import (
     buchberger,
     buchberger_criterion,
     eliminate,
+    groebner_basis,
     initial_ideal,
     membership,
     normal_form,
     reduce_basis,
-    reduce_standard_form,
     s_polynomial,
 )
 from .ideals import (
@@ -59,10 +59,8 @@ from .ideals import (
     product_ideal,
     vanishes_on_variety,
 )
-from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, validate_family
+from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from .courant import (
-    GaussianRational,
-    TrilinearForm,
     courant_bracket,
     courant_element,
     inner_product,
@@ -71,7 +69,6 @@ from .courant import (
     tensor_P,
     tensoriality_check,
     torsion_T,
-    whitney_star_condition,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

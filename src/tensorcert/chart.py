@@ -42,10 +42,6 @@ class Chart:
     def scalar(self, value) -> Polynomial:
         return self.ring.const(value)
 
-    def zero_section(self) -> "GeneralizedSection":
-        zero = self.ring.zero
-        return GeneralizedSection(self, (zero,) * self.dim, (zero,) * self.dim)
-
     def basis_vector(self, i: int) -> "GeneralizedSection":
         """The coordinate vector field in slot i (1-based)."""
         parts = [self.ring.zero] * self.dim
@@ -282,8 +278,3 @@ class CommutingFamily:
             (self.member(i), self.member(j)),
             Signature((self.signature[i], self.signature[j])),
         )
-
-
-def validate_family(members: Sequence[Endomorphism], signature: Signature) -> CommutingFamily:
-    """Construct a family, raising on the first violated constraint."""
-    return CommutingFamily(members, signature)

@@ -18,13 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .groebner import (
-    DEFAULT_STEP_BUDGET,
-    IdealPresentation,
-    StepBudget,
-    buchberger,
-    reduce_basis,
-)
+from .groebner import DEFAULT_STEP_BUDGET, IdealPresentation, StepBudget, groebner_basis
 from .ideals import candidate_basis, intersect_pair
 from .parse import ParseError, parse_polynomial, render_polynomial, tokenize
 from .report import EXIT_CONFIG, CertReport, emit_report
@@ -292,7 +286,7 @@ def _cmd_gb(args) -> int:
     else:
         order = elimination_order(n) if uses_t else letter_block_order(n)
     budget = StepBudget(default_budget(args.budget))
-    basis = reduce_basis(buchberger(IdealPresentation(tuple(polys), order), budget), budget)
+    basis = groebner_basis(IdealPresentation(tuple(polys), order), budget)
     for g in basis.elements:
         print(render_polynomial(g, order))
     return 0

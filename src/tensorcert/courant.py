@@ -11,15 +11,16 @@ slots; tensoriality of (P, phi) means the resulting form is function-linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .chart import Chart, CommutingFamily, GeneralizedSection, _check_chart
 from .poly import Polynomial
-from .xyz import Signature, ring_size, split_terms, uses_t
+from .xyz import ring_size, split_terms, uses_t
 
 Vector = tuple[Polynomial, ...]
+# an R-trilinear form on sections, evaluated as form(a, b, c)
+Trilinear = Callable[[GeneralizedSection, GeneralizedSection, GeneralizedSection], Polynomial]
 
 
 def vector_apply(x: Vector, f: Polynomial, chart: Chart) -> Polynomial:
@@ -79,44 +80,14 @@ def courant_bracket(a: GeneralizedSection, b: GeneralizedSection) -> Generalized
     return GeneralizedSection(chart, vec, tuple(form))
 
 
-def anchor(a: GeneralizedSection) -> Vector:
-    return a.vector
-
-
-@dataclass(frozen=True)
-class TrilinearForm:
-    """An R-trilinear form on sections, wrapped as an evaluator."""
-
-    chart: Chart
-    evaluator: Callable[
-        [GeneralizedSection, GeneralizedSection, GeneralizedSection], Polynomial
-    ]
-
-    def __call__(self, a, b, c) -> Polynomial:
-        return self.evaluator(a, b, c)
-
-
-def courant_element(chart: Chart) -> TrilinearForm:
+def courant_element(chart: Chart) -> Trilinear:
     """tau_C(a, b, c) = <[[a, b]], c>."""
-    return TrilinearForm(chart, lambda a, b, c: inner_product(courant_bracket(a, b), c))
-
-
-def permute_form(tau: TrilinearForm, sigma: dict[str, str]) -> TrilinearForm:
-    """(sigma tau)(a,b,c) = tau(sigma^{-1}(a,b,c)), slots labelled x,y,z."""
-    slot = {"x": 0, "y": 1, "z": 2}
-    # slot p reads the argument at sigma(p): tau(args_sigma(1), args_sigma(2), ...)
-    source = {slot[w]: slot[sigma[w]] for w in sigma}
-
-    def ev(a, b, c):
-        args = (a, b, c)
-        return tau(args[source[0]], args[source[1]], args[source[2]])
-
-    return TrilinearForm(tau.chart, ev)
+    return lambda a, b, c: inner_product(courant_bracket(a, b), c)
 
 
 def polynomial_action(
-    poly: Polynomial, family: CommutingFamily, tau: TrilinearForm
-) -> TrilinearForm:
+    poly: Polynomial, family: CommutingFamily, tau: Trilinear
+) -> Trilinear:
     """(P ._phi tau)(a,b,c) = sum a_IJK tau(phi^I a, phi^J b, phi^K c)."""
     if uses_t(poly):
         raise ValueError("the action is defined on the t-free ring")
@@ -136,7 +107,7 @@ def polynomial_action(
             acc = acc + value.scale(coeff)
         return acc
 
-    return TrilinearForm(family.chart, ev)
+    return ev
 
 
 def _powers_applied(family: CommutingFamily, powers, sections):
@@ -262,68 +233,3 @@ def tensor_P(
     return semiconcomitant(family.subpair(i, j), a, b) - semiconcomitant(
         family.subpair(j, i), a, b
     )
-
-
-# -- the eigenvalue determinant predicate ---------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
-
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-
-EigenvalueVector = tuple[GaussianRational, ...]
-
-
-def whitney_star_condition(
-    lam: Sequence[GaussianRational],
-    mu: Sequence[GaussianRational],
-    xi: Sequence[GaussianRational],
-    sig: Signature,
-) -> bool:
-    """Does L_xi belong to the Whitney sum L_lam (*) L_mu?
-
-    True iff det [[l_i, l_j, 1], [m_i, m_j, 1], [x_i, x_j, 1]] = 0 for every
-    index pair (i, j) with both signature entries +1.
-    """
-    if not (len(lam) == len(mu) == len(xi) == sig.n):
-        raise ValueError("eigenvalue vectors must have the signature's length")
-    one = GaussianRational.of(1)
-    sym = [i for i in range(sig.n) if sig.entries[i] == 1]
-    for i in sym:
-        for j in sym:
-            rows = (
-                (lam[i], lam[j], one),
-                (mu[i], mu[j], one),
-                (xi[i], xi[j], one),
-            )
-            det = (
-                rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-            )
-            if not det.is_zero():
-                return False
-    return True

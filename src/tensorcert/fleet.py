@@ -5,20 +5,14 @@ scaled-identity families, constant generalized almost complex structures and
 metrics, nilpotent form/vector-valued endomorphisms (some with entries linear
 in the coordinates, to exercise nonconstant derivatives), and diagonal
 vector-to-vector families with prescribed eigenvalues.
-
-The JSON wire schema for a family is
-``{"name": ..., "dim": n, "signature": [1, -1, ...],
-   "matrices": [[...4n^2 poly strings, row-major], ...]}``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chart import Chart, CommutingFamily, Endomorphism, validate_family
-from .parse import parse_polynomial, render_polynomial
+from .chart import Chart, CommutingFamily, Endomorphism
 from .poly import Polynomial
 from .xyz import Signature
 
@@ -104,7 +98,7 @@ def build_fleet() -> list[FleetFamily]:
     out: list[FleetFamily] = []
 
     def add(name: str, members, sig_text: str):
-        out.append(FleetFamily(name, validate_family(members, Signature.parse(sig_text))))
+        out.append(FleetFamily(name, CommutingFamily(members, Signature.parse(sig_text))))
 
     c1, c2, c3 = Chart(1), Chart(2), Chart(3)
     u1 = c1.coordinate(1)
@@ -199,41 +193,3 @@ def build_fleet() -> list[FleetFamily]:
         "---",
     )
     return out
-
-
-# -- JSON wire format -----------------------------------------------------------
-
-
-def family_to_dict(entry: FleetFamily) -> dict:
-    fam = entry.family
-    return {
-        "name": entry.name,
-        "dim": fam.chart.dim,
-        "signature": list(fam.signature.entries),
-        "matrices": [
-            [render_polynomial(e) for row in member.rows for e in row]
-            for member in fam.members
-        ],
-    }
-
-
-def family_from_dict(data: dict) -> FleetFamily:
-    chart = Chart(int(data["dim"]))
-    size = 2 * chart.dim
-    sig = Signature(tuple(int(e) for e in data["signature"]))
-    members = []
-    for flat in data["matrices"]:
-        if len(flat) != size * size:
-            raise ValueError(f"expected {size * size} entries, got {len(flat)}")
-        entries = [parse_polynomial(s, chart.ring) for s in flat]
-        rows = [entries[r * size : (r + 1) * size] for r in range(size)]
-        members.append(Endomorphism(chart, rows))
-    return FleetFamily(str(data["name"]), validate_family(members, sig))
-
-
-def dump_fleet(entries: list[FleetFamily]) -> str:
-    return json.dumps([family_to_dict(e) for e in entries], indent=2)
-
-
-def load_fleet(text: str) -> list[FleetFamily]:
-    return [family_from_dict(d) for d in json.loads(text)]

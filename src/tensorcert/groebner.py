@@ -3,7 +3,11 @@
 The pair schedule is part of the contract: pairs (i, j), i < j, are processed
 in lexicographic order of (j, i) over the current generator list, dividing
 against the current list in list order, and nonzero remainders are appended
-monic at the tail.  Reduced bases are canonical for (ideal, order).
+monic at the tail.  Pairs whose leading monomials are coprime are always
+skipped, because their S-polynomials reduce to zero (Buchberger's first
+criterion); ``buchberger_criterion`` stays the honest all-pairs check.
+``groebner_basis`` is the one entry point: Buchberger followed by reduction
+to the reduced basis, which is canonical for (ideal, order).
 
 Internally monomials are re-aligned to the active order and bit-packed into
 integers, so comparison, multiplication and divisibility are single integer
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import (
     Exponents,
@@ -80,7 +85,6 @@ class IdealPresentation:
 class GroebnerBasis:
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -89,8 +93,18 @@ class GroebnerBasis:
     def ring(self) -> PolyRing:
         return self.elements[0].ring
 
-    def as_presentation(self) -> IdealPresentation:
-        return IdealPresentation(self.elements, self.order)
+    @cached_property
+    def _divisors(self) -> tuple[tuple[int, ...], int, list["_Aligned"]]:
+        """(positions, guard mask, packed elements), built on first division."""
+        if not self.elements:
+            raise ValueError("need at least one divisor")
+        if any(g.is_zero() for g in self.elements):
+            raise ValueError("zero generators are not allowed")
+        if len({g.ring for g in self.elements}) > 1:
+            raise ValueError("generators live in different rings")
+        positions = _positions(self.order, self.ring)
+        aligned = [_Aligned(_align(g, positions)) for g in self.elements]
+        return positions, _guard_mask(len(positions)), aligned
 
 
 # -- aligned-core helpers -----------------------------------------------------
@@ -173,25 +187,21 @@ def _divide_aligned(
     p_terms: dict[int, Fraction],
     divisors: list[_Aligned],
     budget: StepBudget,
-    want_quotients: bool = False,
-    guard: int = 0,
-) -> tuple[list[dict[int, Fraction]], dict[int, Fraction]]:
+    guard: int,
+) -> dict[int, Fraction]:
+    """The remainder of p, restarting from the first divisor after each step."""
     p = dict(p_terms)
     remainder: dict[int, Fraction] = {}
-    quotients: list[dict[int, Fraction]] = [{} for _ in divisors] if want_quotients else []
     get = p.get
     while p:
         m = max(p)
         c = p[m]
-        for pos, g in enumerate(divisors):
+        for g in divisors:
             shift = m - g.lm
             if shift & guard:
                 continue
             budget.step()
             factor = _exact_div(c, g.lc)
-            if want_quotients:
-                q = quotients[pos]
-                q[shift] = q.get(shift, 0) + factor
             for gm, gc in g.terms.items():
                 key = shift + gm
                 s = get(key, 0) - factor * gc
@@ -203,7 +213,7 @@ def _divide_aligned(
         else:
             remainder[m] = c
             del p[m]
-    return quotients, remainder
+    return remainder
 
 
 def _lcm_shifts(f: _Aligned, g: _Aligned, nvars: int) -> tuple[int, int]:
@@ -269,42 +279,21 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return f.mul_term(mono_div(mg, gcd), cg) - g.mul_term(mono_div(mf, gcd), cf)
 
 
-def reduce_standard_form(
-    f: Polynomial,
-    divisors: IdealPresentation,
-    step_budget: StepBudget | None = None,
-) -> tuple[list[Polynomial], Polynomial]:
-    """Standard form f = sum q_t g_t + r, scanning divisors in list order.
-
-    No leading monomial of a divisor divides any term of r.  The division
-    restarts from the first divisor after every reduction step.
-    """
-    if not divisors.generators:
-        raise ValueError("need at least one divisor")
-    ring = divisors.ring
-    if f.ring != ring:
-        raise ValueError("dividend and divisors must share a ring")
-    budget = step_budget or StepBudget()
-    positions = _positions(divisors.order, ring)
-    aligned = [_Aligned(_align(g, positions)) for g in divisors.generators]
-    quotients, remainder = _divide_aligned(
-        _align(f, positions),
-        aligned,
-        budget,
-        want_quotients=True,
-        guard=_guard_mask(len(positions)),
-    )
-    return (
-        [_unalign(q, positions, ring) for q in quotients],
-        _unalign(remainder, positions, ring),
-    )
-
-
 def normal_form(
     f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None
 ) -> Polynomial:
-    _, r = reduce_standard_form(f, basis.as_presentation(), step_budget)
-    return r
+    """The remainder of f on division by the basis elements in list order.
+
+    No leading monomial of an element divides any term of the result.  The
+    division restarts from the first element after every reduction step.
+    """
+    positions, guard, divisors = basis._divisors
+    if f.ring != basis.ring:
+        raise ValueError("dividend and divisors must share a ring")
+    remainder = _divide_aligned(
+        _align(f, positions), divisors, step_budget or StepBudget(), guard
+    )
+    return _unalign(remainder, positions, basis.ring)
 
 
 def membership(f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None) -> bool:
@@ -315,16 +304,11 @@ def membership(f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | No
 
 
 def buchberger(
-    presentation: IdealPresentation,
-    step_budget: StepBudget | None = None,
-    skip_coprime_pairs: bool = True,
-    use_chain_criterion: bool = False,
+    presentation: IdealPresentation, step_budget: StepBudget | None = None
 ) -> GroebnerBasis:
     """Plain Buchberger with the documented deterministic pair schedule.
 
-    Coprime-lead pairs may be skipped (their S-polynomials always reduce to
-    zero); the chain criterion is off by default so certified runs follow the
-    plain algorithm.
+    Coprime-lead pairs are skipped: their S-polynomials always reduce to zero.
     """
     if not presentation.generators:
         raise ValueError("cannot run Buchberger on an empty presentation")
@@ -337,52 +321,23 @@ def buchberger(
     # dividing by scaled copies changes quotients but never remainders, so the
     # working list is monic to keep coefficient growth down
     basis = [_Aligned(_monic_aligned(t)) for t in originals]
-    done: set[tuple[int, int]] = set()
     j = 1
     while j < len(basis):
         for i in range(j):
             gi, gj = basis[i], basis[j]
-            if skip_coprime_pairs and _coprime(gi, gj, nvars):
-                done.add((i, j))
-                continue
-            if use_chain_criterion and _chain_applies(basis, i, j, done, guard):
-                done.add((i, j))
+            if _coprime(gi, gj, nvars):
                 continue
             s = _s_poly_aligned(gi, gj, nvars)
-            done.add((i, j))
             if not s:
                 continue
-            _, r = _divide_aligned(s, basis, budget, guard=guard)
+            r = _divide_aligned(s, basis, budget, guard)
             if r:
                 monic_r = _monic_aligned(r)
                 basis.append(_Aligned(monic_r))
                 originals.append(monic_r)
         j += 1
     elements = tuple(_unalign(t, positions, ring) for t in originals)
-    return GroebnerBasis(elements, presentation.order, reduced=False)
-
-
-def _chain_applies(
-    basis: list[_Aligned], i: int, j: int, done: set[tuple[int, int]], guard: int
-) -> bool:
-    # the per-field lcm needs unpacking; this criterion is opt-in and rare
-    nvars = 0
-    probe = guard
-    while probe:
-        nvars += 1
-        probe >>= _FIELD_BITS
-    ei = _unpack(basis[i].lm, nvars)
-    ej = _unpack(basis[j].lm, nvars)
-    lcm = _pack(tuple(max(a, b) for a, b in zip(ei, ej)))
-    for k in range(len(basis)):
-        if k in (i, j):
-            continue
-        if not ((lcm - basis[k].lm) & guard):
-            pair_ik = (min(i, k), max(i, k))
-            pair_jk = (min(j, k), max(j, k))
-            if pair_ik in done and pair_jk in done:
-                return True
-    return False
+    return GroebnerBasis(elements, presentation.order)
 
 
 def buchberger_criterion(
@@ -409,7 +364,7 @@ def buchberger_criterion(
             s = _s_poly_aligned(aligned[i], aligned[j], nvars)
             if not s:
                 continue
-            _, r = _divide_aligned(s, aligned, budget, guard=guard)
+            r = _divide_aligned(s, aligned, budget, guard)
             if r:
                 return False, _unalign(r, positions, ring)
     return True, None
@@ -421,8 +376,6 @@ def reduce_basis(basis: GroebnerBasis, step_budget: StepBudget | None = None) ->
     Elements come out sorted by increasing leading monomial, so the result is
     independent of the input generator ordering.
     """
-    if basis.reduced:
-        return basis
     ring = basis.ring
     budget = step_budget or StepBudget()
     positions = _positions(basis.order, ring)
@@ -439,13 +392,13 @@ def reduce_basis(basis: GroebnerBasis, step_budget: StepBudget | None = None) ->
     for pos, g in enumerate(kept):
         others = kept[:pos] + kept[pos + 1 :]
         if others:
-            _, r = _divide_aligned(g.terms, others, budget, guard=guard)
+            r = _divide_aligned(g.terms, others, budget, guard)
         else:
             r = g.terms
         result.append(r)
     result.sort(key=max)
     elements = tuple(_unalign(r, positions, ring) for r in result)
-    return GroebnerBasis(elements, basis.order, reduced=True)
+    return GroebnerBasis(elements, basis.order)
 
 
 def groebner_basis(
@@ -468,7 +421,7 @@ def eliminate(basis: GroebnerBasis, variable: str = "t") -> GroebnerBasis:
     ring = basis.ring
     small = PolyRing(tuple(v for v in ring.variables if v != variable))
     free = [g.map_ring(small) for g in basis.elements if variable not in g.support_vars()]
-    return GroebnerBasis(tuple(free), basis.order.without(variable), reduced=basis.reduced)
+    return GroebnerBasis(tuple(free), basis.order.without(variable))
 
 
 # -- monomial ideals ----------------------------------------------------------

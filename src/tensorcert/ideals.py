@@ -25,9 +25,8 @@ from .groebner import (
     GroebnerBasis,
     IdealPresentation,
     StepBudget,
-    buchberger,
     eliminate,
-    reduce_basis,
+    groebner_basis,
 )
 from .poly import MonomialOrder, Polynomial, PolyRing
 from .xyz import Signature, split_terms, uses_t, xyz_ring
@@ -216,10 +215,8 @@ def intersect_pair(
     """
     if elim_order.eliminates != "t":
         raise ValueError("intersection needs an order eliminating t")
-    budget = step_budget or StepBudget()
     combined = scale_into_t_ring(i_pres, j_pres, elim_order)
-    basis = reduce_basis(buchberger(combined, budget), budget)
-    return eliminate(basis, "t")
+    return eliminate(groebner_basis(combined, step_budget), "t")
 
 
 def product_ideal(i_pres: IdealPresentation, j_pres: IdealPresentation) -> IdealPresentation:

@@ -34,12 +34,11 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     StepBudget,
-    buchberger,
     buchberger_criterion,
     eliminate,
+    groebner_basis,
     initial_ideal,
     membership,
-    reduce_basis,
 )
 from .ideals import (
     build_axis_ideals,
@@ -159,13 +158,12 @@ def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
     return not problems, problems
 
 
-def gen_set_case(
-    sig: Signature,
-    budget_limit: int,
-    cross_check: bool | None = None,
-    check_structure: bool = True,
-) -> CaseResult:
-    """Does the cubic/quadratic candidate basis generate the intersection?"""
+def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
+    """Does the cubic/quadratic candidate basis generate the intersection?
+
+    For N <= 2 the intersection is also rebuilt by double elimination,
+    (I^y cap I^z) first, as an independent cross-check.
+    """
     n = sig.n
     case = CaseResult(
         case_id=f"gen-set/N{n}/{sig}",
@@ -178,13 +176,12 @@ def gen_set_case(
     started = time.perf_counter()
     budget = StepBudget(budget_limit)
     try:
-        j_basis = reduce_basis(buchberger(j_ideal_presentation(sig), budget), budget)
-        if check_structure:
-            ok, problems = structural_claims(j_basis)
-            case.details["structural_claims"] = ok
-            if not ok:
-                case.status = "fail"
-                case.witnesses.extend(problems[:3])
+        j_basis = groebner_basis(j_ideal_presentation(sig), budget)
+        ok, problems = structural_claims(j_basis)
+        case.details["structural_claims"] = ok
+        if not ok:
+            case.status = "fail"
+            case.witnesses.extend(problems[:3])
         intersection = eliminate(j_basis, "t")
         case.details["intersection_basis_size"] = len(intersection.elements)
         # surfaced for inspection: extra elements beyond the T/P set live here
@@ -195,9 +192,7 @@ def gen_set_case(
         ring = intersection.ring
         order = intersection.order
         cand = candidate_basis(sig, ring)
-        cand_gb = reduce_basis(
-            buchberger(IdealPresentation(cand.members, order), budget), budget
-        )
+        cand_gb = groebner_basis(IdealPresentation(cand.members, order), budget)
         # reduced bases are unique for (ideal, order): equal bases prove both
         # inclusions; membership only runs to name a witness once they differ
         same = cand_gb.elements == intersection.elements
@@ -220,9 +215,7 @@ def gen_set_case(
         sqfree = initial_ideal(intersection).is_squarefree()
         case.details["initial_ideal_squarefree"] = sqfree
 
-        if cross_check is None:
-            cross_check = n <= 2
-        if cross_check:
+        if n <= 2:
             axes = build_axis_ideals(sig, order, ring)
             inner = intersect_pair(axes.i_y, axes.i_z, elimination_order(n), budget)
             full = intersect_pair(
@@ -267,7 +260,7 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
             axes = build_axis_ideals(sig, order, ring)
             first, second = axes.pair(pair)
             product = product_ideal(first, second)
-            product_gb = reduce_basis(buchberger(product, budget), budget)
+            product_gb = groebner_basis(product, budget)
             elim = MonomialOrder(("t",) + order.ranking, eliminates="t")
             intersection = intersect_pair(first, second, elim, budget)
             # the orders agree (elim.without("t") == order), so equal reduced

@@ -20,7 +20,6 @@ import pytest
 from conftest import seeded
 from tensorcert.chart import CommutingFamily
 from tensorcert.courant import (
-    anchor,
     courant_bracket,
     courant_element,
     differential,
@@ -298,7 +297,7 @@ def test_courant_algebroid_axioms():
         for _ in range(34):
             a, b, c = (rnd_section(rng, chart) for _ in range(3))
             f = rnd_section(rng, chart).vector[0]
-            lhs = vector_apply(anchor(a), inner_product(b, c), chart)
+            lhs = vector_apply(a.vector, inner_product(b, c), chart)
             assert lhs == inner_product(courant_bracket(a, b), c) + inner_product(
                 courant_bracket(a, c), b
             )
@@ -307,13 +306,13 @@ def test_courant_algebroid_axioms():
             )
             assert courant_bracket(a, b.scale(f)) == courant_bracket(a, b).scale(
                 f
-            ) + b.scale(vector_apply(anchor(a), f, chart))
+            ) + b.scale(vector_apply(a.vector, f, chart))
             df = GeneralizedSection(
                 chart, (chart.ring.zero,) * chart.dim, differential(f, chart)
             )
             assert courant_bracket(a.scale(f), b) == courant_bracket(a, b).scale(
                 f
-            ) - a.scale(vector_apply(anchor(b), f, chart)) + df.scale(
+            ) - a.scale(vector_apply(b.vector, f, chart)) + df.scale(
                 2 * inner_product(a, b)
             )
             checked += 2
@@ -353,7 +352,7 @@ def test_n4_sweep():
     started = time.perf_counter()
     bad = []
     for sig in Signature.sweep(4):
-        case = gen_set_case(sig, BUDGET, cross_check=False)
+        case = gen_set_case(sig, BUDGET)
         if case.status != "pass":
             bad.append(case.case_id)
     elapsed = time.perf_counter() - started
@@ -373,7 +372,7 @@ def test_n6_profile_signature_extremes():
     outcomes = {}
     for entries in ((1,) * 6, (-1,) * 6):
         sig = Signature(entries)
-        case = gen_set_case(sig, 10**8, cross_check=False)
+        case = gen_set_case(sig, 10**8)
         outcomes[str(sig)] = case.status
         assert case.status in ("pass", "budget"), case.witnesses
     announce("N = 6 profile (signature extremes)", True, str(outcomes))

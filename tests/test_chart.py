@@ -8,10 +8,10 @@ from conftest import seeded
 from tensorcert.chart import (
     Chart,
     ChartMismatchError,
+    CommutingFamily,
     Endomorphism,
     FamilyValidationError,
     GeneralizedSection,
-    validate_family,
 )
 from tensorcert.courant import inner_product
 from tensorcert.fleet import build_fleet
@@ -100,14 +100,14 @@ class TestFamilies:
         chart = Chart(1)
         o, z = chart.ring.one, chart.ring.zero
         phi = Endomorphism(chart, [[o, z], [z, -o]])
-        family = validate_family([phi], Signature((-1,)))
+        family = CommutingFamily([phi], Signature((-1,)))
         assert family.n == 1
 
     def test_repeated_skew_member_commutes(self):
         chart = Chart(1)
         o, z = chart.ring.one, chart.ring.zero
         phi = Endomorphism(chart, [[o, z], [z, -o]])
-        family = validate_family([phi, phi], Signature((-1, -1)))
+        family = CommutingFamily([phi, phi], Signature((-1, -1)))
         assert family.member(1) == family.member(2)
 
     def test_wrong_symmetry_type_rejected(self):
@@ -115,7 +115,7 @@ class TestFamilies:
         o, z = chart.ring.one, chart.ring.zero
         skew = Endomorphism(chart, [[o, z], [z, -o]])
         with pytest.raises(FamilyValidationError, match="member 1 is not symmetric"):
-            validate_family([skew], Signature((1,)))
+            CommutingFamily([skew], Signature((1,)))
 
     def test_noncommuting_pair_rejected(self):
         chart = Chart(1)
@@ -124,7 +124,7 @@ class TestFamilies:
         sym_b = Endomorphism(chart, [[z, ring.one], [z, z]])
         sym_c = Endomorphism(chart, [[z, z], [ring.one, z]])
         with pytest.raises(FamilyValidationError, match="do not commute"):
-            validate_family([sym_b, sym_c], Signature((1, 1)))
+            CommutingFamily([sym_b, sym_c], Signature((1, 1)))
 
     def test_power_endo_caches_consistently(self):
         fleet = {e.name: e for e in build_fleet()}

@@ -5,22 +5,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded
-from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, validate_family
+from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from tensorcert.courant import (
-    GaussianRational,
-    anchor,
     courant_bracket,
     courant_element,
     differential,
     inner_product,
-    permute_form,
     polynomial_action,
     semiconcomitant,
     tensor_P,
     tensoriality_check,
     torsion_T,
     vector_apply,
-    whitney_star_condition,
 )
 from tensorcert.fleet import build_fleet
 from tensorcert.ideals import candidate_basis, generator_P, generator_T, vanishes_on_variety
@@ -87,7 +83,7 @@ class TestCourantBracket:
             a, b = rnd_section(rng, chart), rnd_section(rng, chart)
             f = rnd_scalar(rng, chart, degree=2)
             lhs = courant_bracket(a, b.scale(f))
-            rhs = courant_bracket(a, b).scale(f) + b.scale(vector_apply(anchor(a), f, chart))
+            rhs = courant_bracket(a, b).scale(f) + b.scale(vector_apply(a.vector, f, chart))
             assert lhs == rhs
 
     def test_leibniz_first_slot_with_pairing_term(self):
@@ -102,7 +98,7 @@ class TestCourantBracket:
             )
             rhs = (
                 courant_bracket(a, b).scale(f)
-                - a.scale(vector_apply(anchor(b), f, chart))
+                - a.scale(vector_apply(b.vector, f, chart))
                 + df.scale(2 * inner_product(a, b))
             )
             assert lhs == rhs
@@ -112,7 +108,7 @@ class TestCourantBracket:
         chart = Chart(2)
         for _ in range(25):
             a, b, c = (rnd_section(rng, chart) for _ in range(3))
-            lhs = vector_apply(anchor(a), inner_product(b, c), chart)
+            lhs = vector_apply(a.vector, inner_product(b, c), chart)
             first = inner_product(courant_bracket(a, b), c) + inner_product(
                 courant_bracket(a, c), b
             )
@@ -149,7 +145,7 @@ class TestPolynomialAction:
 
     def test_x_with_identity_member(self):
         chart = Chart(1)
-        family = validate_family([Endomorphism.identity(chart)], Signature((1,)))
+        family = CommutingFamily([Endomorphism.identity(chart)], Signature((1,)))
         tau = courant_element(chart)
         form = polynomial_action(xyz_ring(1).var("x1"), family, tau)
         rng = seeded("x-action")
@@ -163,6 +159,13 @@ class TestPolynomialAction:
             polynomial_action(xyz_ring(2).var("x2"), family, courant_element(family.chart))
 
     def test_sigma_equivariance(self):
+        def permute_form(tau, sigma):
+            # (sigma tau)(a, b, c) = tau(sigma^-1 (a, b, c)), slots labelled x, y, z;
+            # slot p reads the argument at sigma(p)
+            slot = {"x": 0, "y": 1, "z": 2}
+            source = [slot[sigma[w]] for w in "xyz"]
+            return lambda *args: tau(*(args[q] for q in source))
+
         family = FLEET["generic-sym-pair-n2"]
         chart = family.chart
         ring = xyz_ring(2)
@@ -435,36 +438,3 @@ class TestAlternatingRemark:
             value = form(a, b, c)
             assert value == -form(b, a, c)
             assert value == -form(a, c, b)
-
-
-class TestWhitneyPredicate:
-    def test_equal_rows_always_pass(self):
-        sig = Signature((1, 1))
-        lam = (GaussianRational.of(0), GaussianRational.of(0))
-        mu = (GaussianRational.of(1), GaussianRational.of(0))
-        xi = (GaussianRational.of(0), GaussianRational.of(1))
-        assert whitney_star_condition(lam, lam, xi, sig)
-        assert whitney_star_condition(lam, mu, lam, sig)
-        assert whitney_star_condition(lam, mu, mu, sig)
-
-    def test_explicit_nonzero_determinant(self):
-        sig = Signature((1, 1))
-        lam = (GaussianRational.of(0), GaussianRational.of(0))
-        mu = (GaussianRational.of(1), GaussianRational.of(0))
-        xi = (GaussianRational.of(0), GaussianRational.of(1))
-        assert not whitney_star_condition(lam, mu, xi, sig)
-
-    def test_skew_indices_are_ignored(self):
-        sig = Signature((-1, -1))
-        lam = (GaussianRational.of(0), GaussianRational.of(0))
-        mu = (GaussianRational.of(1), GaussianRational.of(0))
-        xi = (GaussianRational.of(0), GaussianRational.of(1))
-        assert whitney_star_condition(lam, mu, xi, sig)
-
-    def test_gaussian_arithmetic(self):
-        i = GaussianRational.of(0, 1)
-        assert i * i == GaussianRational.of(-1)
-        sig = Signature((1, 1))
-        lam = (i, GaussianRational.of(1))
-        mu = (i * i, GaussianRational.of(0))
-        assert whitney_star_condition(lam, lam, mu, sig)

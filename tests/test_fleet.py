@@ -1,17 +1,6 @@
-"""Fixture-fleet coverage and its JSON wire format."""
+"""Fixture-fleet coverage."""
 
-import json
-
-import pytest
-
-from tensorcert.chart import FamilyValidationError
-from tensorcert.fleet import (
-    build_fleet,
-    dump_fleet,
-    family_from_dict,
-    family_to_dict,
-    load_fleet,
-)
+from tensorcert.fleet import build_fleet
 
 
 def test_fleet_size_and_chart_coverage():
@@ -25,49 +14,5 @@ def test_fleet_size_and_chart_coverage():
 
 
 def test_names_are_unique():
-    names = [e.name for e in fleet_cached()]
+    names = [e.name for e in build_fleet()]
     assert len(names) == len(set(names))
-
-
-_FLEET = None
-
-
-def fleet_cached():
-    global _FLEET
-    if _FLEET is None:
-        _FLEET = build_fleet()
-    return _FLEET
-
-
-def test_json_roundtrip_preserves_members():
-    fleet = fleet_cached()
-    restored = load_fleet(dump_fleet(fleet))
-    assert [e.name for e in restored] == [e.name for e in fleet]
-    for a, b in zip(fleet, restored):
-        assert a.family.members == b.family.members
-        assert a.family.signature == b.family.signature
-
-
-def test_schema_fields():
-    entry = fleet_cached()[0]
-    data = family_to_dict(entry)
-    assert set(data) == {"name", "dim", "signature", "matrices"}
-    n = data["dim"]
-    for member in data["matrices"]:
-        assert len(member) == (2 * n) ** 2
-        assert all(isinstance(s, str) for s in member)
-
-
-def test_loader_validates_constraints():
-    entry = next(e for e in fleet_cached() if e.name == "gacs-complex-n2")
-    data = json.loads(json.dumps(family_to_dict(entry)))
-    data["signature"] = [-s for s in data["signature"]]
-    with pytest.raises(FamilyValidationError):
-        family_from_dict(data)
-
-
-def test_loader_rejects_wrong_entry_count():
-    data = family_to_dict(fleet_cached()[0])
-    data["matrices"] = [data["matrices"][0][:-1]]
-    with pytest.raises(ValueError):
-        family_from_dict(data)

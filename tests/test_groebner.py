@@ -8,8 +8,10 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nonzero_polynomials, polynomials, seeded
+from tensorcert import groebner
 from tensorcert.groebner import (
     BudgetExceededError,
     GroebnerBasis,
@@ -23,7 +25,6 @@ from tensorcert.groebner import (
     membership,
     normal_form,
     reduce_basis,
-    reduce_standard_form,
     s_polynomial,
 )
 from tensorcert.ideals import intersect_pair
@@ -73,40 +74,65 @@ class TestSPolynomial:
         assert key(leading_term(s, LEX)[0]) < key(lcm)
 
 
+def divide(f, texts):
+    """Remainder of f on division by the listed divisors, in list order."""
+    return normal_form(f, GroebnerBasis(tuple(p(t) for t in texts), LEX))
+
+
 class TestDivision:
     def test_remainder_survives_when_leads_do_not_divide(self):
-        quotients, remainder = reduce_standard_form(p("y1 - z1"), pres(["x1 - y1", "x1 - z1"]))
-        assert remainder == p("y1 - z1")
-        assert all(q.is_zero() for q in quotients)
+        assert divide(p("y1 - z1"), ["x1 - y1", "x1 - z1"]) == p("y1 - z1")
 
     def test_exact_division(self):
-        _, remainder = reduce_standard_form(p("x1 - y1"), pres(["x1 - y1"]))
-        assert remainder.is_zero()
+        assert divide(p("x1 - y1"), ["x1 - y1"]).is_zero()
 
     def test_hand_long_division(self):
-        quotients, remainder = reduce_standard_form(p("x1^2"), pres(["x1 - y1"]))
-        assert quotients == [p("x1 + y1")]
-        assert remainder == p("y1^2")
+        assert divide(p("x1^2"), ["x1 - y1"]) == p("y1^2")
 
     def test_divisor_list_order_matters(self):
         f = p("x1^2*y1")
-        first = reduce_standard_form(f, pres(["x1^2", "x1 - z1"]))[1]
-        second = reduce_standard_form(f, pres(["x1 - z1", "x1^2"]))[1]
+        first = divide(f, ["x1^2", "x1 - z1"])
+        second = divide(f, ["x1 - z1", "x1^2"])
         assert first.is_zero()
         assert second == p("y1*z1^2")
 
     @given(f=polynomials(R1, max_terms=6), g1=nonzero_polynomials(R1), g2=nonzero_polynomials(R1))
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     def test_reconstruction_identity(self, f, g1, g2):
-        divisors = IdealPresentation((g1, g2), LEX)
-        quotients, remainder = reduce_standard_form(f, divisors)
-        rebuilt = quotients[0] * g1 + quotients[1] * g2 + remainder
-        assert rebuilt == f
+        remainder = normal_form(f, GroebnerBasis((g1, g2), LEX))
         lead1 = leading_term(g1, LEX)[0]
         lead2 = leading_term(g2, LEX)[0]
         for mono, _ in remainder.terms():
             assert not mono_divides(lead1, mono)
             assert not mono_divides(lead2, mono)
+        # f - r is a combination of the divisors
+        assert membership(f - remainder, groebner_basis(IdealPresentation((g1, g2), LEX)))
+
+    def test_input_checks(self):
+        basis = GroebnerBasis((p("x1 - y1"),), LEX)
+        with pytest.raises(ValueError):
+            normal_form(p("x1 - y1", xyz_ring(2)), basis)
+        with pytest.raises(ValueError):
+            normal_form(p("x1"), GroebnerBasis((), LEX))
+        with pytest.raises(ValueError):
+            normal_form(p("x1"), GroebnerBasis((p("x1"), R1.zero), LEX))
+        with pytest.raises(ValueError):
+            normal_form(p("x1"), GroebnerBasis((p("x1"),), MonomialOrder(("x1", "y1"))))
+
+    def test_basis_is_packed_once(self, monkeypatch):
+        basis = groebner_basis(pres(["x1^2 - y1", "x1*y1 - z1", "y1^2 - x1*z1"]))
+        queries = [p("x1^3"), p("y1 - z1"), p("x1*y1*z1 - z1^2"), p("x1^2 - y1")]
+        calls = []
+        original = groebner._align
+
+        def counting(f, positions):
+            calls.append(f)
+            return original(f, positions)
+
+        monkeypatch.setattr(groebner, "_align", counting)
+        for f in queries:
+            membership(f, basis)
+        assert len(calls) == len(basis.elements) + len(queries)
 
 
 class TestBuchberger:
@@ -134,19 +160,25 @@ class TestBuchberger:
         with pytest.raises(BudgetExceededError):
             buchberger(pres(["x1^2 - y1", "x1*y1 - z1", "y1^2 - x1*z1"]), tiny)
 
-    def test_optional_criteria_do_not_change_the_reduced_basis(self):
-        presentation = pres(["x1^2 - y1*z1", "x1*y1 - z1^2", "x1*z1 - y1^2"])
-        plain = reduce_basis(buchberger(presentation, skip_coprime_pairs=False))
-        coprime = reduce_basis(buchberger(presentation, skip_coprime_pairs=True))
-        chained = reduce_basis(buchberger(presentation, use_chain_criterion=True))
-        assert plain.elements == coprime.elements == chained.elements
+    @given(
+        gens=st.lists(nonzero_polynomials(R1, max_terms=3), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_coprime_skip_against_all_pairs_criterion(self, gens, data):
+        presentation = IdealPresentation(tuple(gens), LEX)
+        holds, witness = buchberger_criterion(buchberger(presentation).elements, LEX)
+        assert holds and witness is None
+        shuffled = data.draw(st.permutations(gens))
+        assert (
+            groebner_basis(IdealPresentation(tuple(shuffled), LEX)).elements
+            == groebner_basis(presentation).elements
+        )
 
 
 class TestReduceBasis:
     def test_interreduction(self):
-        basis = GroebnerBasis(
-            (p("x1 - y1"), p("x1 - z1"), p("y1 - z1")), LEX, reduced=False
-        )
+        basis = GroebnerBasis((p("x1 - y1"), p("x1 - z1"), p("y1 - z1")), LEX)
         reduced = reduce_basis(basis)
         assert [str_poly(g) for g in reduced.elements] == ["y1 - z1", "x1 - z1"]
 
@@ -306,5 +338,5 @@ def str_poly(g):
 def test_normal_form_is_unique_for_groebner_bases():
     basis = groebner_basis(pres(["x1^2 - y1", "x1*y1 - z1"]))
     f = p("x1^3 + x1*y1^2 - z1^2")
-    shuffled = GroebnerBasis(tuple(reversed(basis.elements)), LEX, reduced=False)
+    shuffled = GroebnerBasis(tuple(reversed(basis.elements)), LEX)
     assert normal_form(f, basis) == normal_form(f, shuffled)
