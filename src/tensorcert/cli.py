@@ -8,7 +8,8 @@ Subcommands::
     tensorcert gb       --ideal FILE [--order elim|desc|block|v1,v2,...] [--n N]
     tensorcert intersect --a FILE --b FILE [--n N]
 
-Exit codes: 0 all pass, 1 failures, 2 budget exhaustion only, 3 usage error.
+Exit codes: 0 all pass, 1 failures, 2 budget exhaustion only, 3 usage error,
+4 internal error (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .groebner import DEFAULT_STEP_BUDGET, IdealPresentation, StepBudget, groebner_basis
 from .ideals import candidate_basis, intersect_pair
 from .parse import ParseError, parse_polynomial, render_polynomial, tokenize
-from .report import EXIT_CONFIG, CertReport, emit_report
+from .report import EXIT_CONFIG, EXIT_INTERNAL, CertReport, emit_report
 from .verify import (
     CaseResult,
     gen_set_case,
@@ -111,13 +113,20 @@ def _parse_signatures(raw: list[str] | None, n_max: int) -> list[Signature] | No
         for text in chunk.split(","):
             if not text:
                 continue
-            sig = Signature.parse(text)
+            sig = _parse_signature(text)
             if sig.n > n_max:
                 raise UsageError(f"signature {text} is longer than --n {n_max}")
             sigs.append(sig)
     if not sigs:
         raise UsageError("no usable signature in --sig")
     return sigs
+
+
+def _parse_signature(text: str) -> Signature:
+    try:
+        return Signature.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"--sig: {exc}") from None
 
 
 def _sweep(n_max: int, explicit: list[Signature] | None) -> list[Signature]:
@@ -133,7 +142,7 @@ def _case_specs(suite: str, n_max: int, sigs: list[Signature] | None, budget: in
     """Picklable (kind, payload, budget) tuples; order defines stable case ids.
 
     A tensoriality payload is the fleet family itself, so workers never
-    rebuild the fleet.
+    rebuild the fleet; the unit case runs on the one-member skew family.
     """
     specs = []
     if suite in ("gen-set", "all"):
@@ -149,10 +158,12 @@ def _case_specs(suite: str, n_max: int, sigs: list[Signature] | None, budget: in
         for sig in _sweep(n_max, sigs):
             specs.append(("oracle-equiv", str(sig), budget))
     if suite in ("tensoriality", "all"):
-        for entry in build_fleet():
+        fleet = build_fleet()
+        for entry in fleet:
             if entry.family.signature.n <= n_max:
                 specs.append(("tensoriality", entry, budget))
-        specs.append(("tensoriality-unit", None, budget))
+        unit = next(entry for entry in fleet if entry.name == "diag-skew-n1")
+        specs.append(("tensoriality-unit", unit, budget))
     return specs
 
 
@@ -169,7 +180,7 @@ def _run_spec(spec) -> CaseResult:
     if kind == "tensoriality":
         return tensoriality_case(payload)
     if kind == "tensoriality-unit":
-        return unit_not_tensorial_case()
+        return unit_not_tensorial_case(payload)
     raise ValueError(f"unknown case kind {kind}")
 
 
@@ -235,7 +246,7 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def _cmd_gens(args) -> int:
-    sig = Signature.parse(args.sig)
+    sig = _parse_signature(args.sig)
     if sig.n != args.n:
         raise UsageError(f"--sig has length {sig.n}, expected --n {args.n}")
     ring = xyz_ring(sig.n)
@@ -274,15 +285,19 @@ def _read_ideal(path: str, n_hint: int | None):
         polys = [parse_polynomial(line, ring) for line in lines]
     except ParseError as exc:
         raise UsageError(f"{path}: {exc}")
+    if any(p.is_zero() for p in polys):
+        raise UsageError(f"{path}: zero generators are not allowed")
     return polys, n, uses_t
 
 
 def _cmd_gb(args) -> int:
     polys, n, uses_t = _read_ideal(args.ideal, args.n)
     if args.order:
-        order = order_from_spec(args.order, n)
-        if uses_t and "t" not in order.ranking:
-            raise UsageError("the ideal uses t but the order does not rank it")
+        try:
+            order = order_from_spec(args.order, n)
+            order.validate(polys[0].ring)
+        except ValueError as exc:
+            raise UsageError(f"--order {args.order}: {exc}") from None
     else:
         order = elimination_order(n) if uses_t else letter_block_order(n)
     budget = StepBudget(default_budget(args.budget))
@@ -325,9 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,14 +7,17 @@ The bracket is computed exactly on polynomial components:
 and the Courant element is tau_C(a, b, c) = <[[a, b]], c>.  A polynomial in
 the x/y/z ring acts on forms by inserting endomorphism powers into the three
 slots; tensoriality of (P, phi) means the resulting form is function-linear.
+That is decided pointwise from the anchor identities of the bracket, so the
+check needs no bracket and no derivative (``tensoriality_check``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable
 
-from .chart import Chart, CommutingFamily, GeneralizedSection, _check_chart
+from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, _check_chart
 from .poly import Polynomial
 from .xyz import ring_size, split_terms, uses_t
 
@@ -110,37 +113,29 @@ def polynomial_action(
     return ev
 
 
-def _powers_applied(family: CommutingFamily, powers, sections):
-    return [
-        {p: family.power_endo(p).apply(sec) for p in powers} for sec in sections
-    ]
+def _add_scaled(
+    acc: GeneralizedSection, f: Polynomial, section: GeneralizedSection
+) -> GeneralizedSection:
+    """acc + f section, skipping the zero multiples that basis sections make common."""
+    return acc if f.is_zero() else acc + section.scale(f)
 
 
-def _action_table(family, groups, a_app, b_app, c_app):
-    """values[ia][ib][ic] of the action form, sharing brackets over the c slot."""
-    zero = family.chart.ring.zero
-    size = len(a_app)
-    table = [[[zero] * size for _ in range(size)] for _ in range(size)]
-    for ia, a_pows in enumerate(a_app):
-        for ib, b_pows in enumerate(b_app):
-            for (pi, pj), ks in groups.items():
-                bracket = courant_bracket(a_pows[pi], b_pows[pj])
-                for ic, c_pows in enumerate(c_app):
-                    acc = table[ia][ib][ic]
-                    for pk, coeff in ks:
-                        acc = acc + inner_product(bracket, c_pows[pk]).scale(coeff)
-                    table[ia][ib][ic] = acc
-    return table
+def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
+    """Is (P ._phi tau_C) function-linear, i.e. a genuine tensor?
 
+    Decided pointwise, with no bracket.  As (phi^K)* = e^K phi^K, the action
+    is <sum c e^K phi^K [[phi^I a, phi^J b]], c> over the terms c x^I y^J z^K,
+    so the third slot is function-linear, and the anchor identities
 
-def tensoriality_defect(
-    poly: Polynomial, family: CommutingFamily
-) -> tuple[Polynomial, tuple] | None:
-    """First nonzero function-linearity defect of (P ._phi tau_C), or None.
+        [[f a, b]] = f [[a, b]] - (rho(b) f) a + 2 <a, b> df,
+        [[a, f b]] = f [[a, b]] + (rho(a) f) b
 
-    The defect is a derivation in the function slot and scalar-trilinear in
-    the sections, so vanishing for f = u_1..u_n over the 2n basis sections in
-    the first two slots decides it; the third slot is always function-linear.
+    leave first- and second-slot defects that are function-linear in a, b
+    and df.  The pairing is nondegenerate, so the action is tensorial iff,
+    for all basis sections a, b and f = u_i, both of these vanish:
+
+        sum c e^K phi^K (2 <phi^I a, phi^J b> du_i - (phi^J b)_i phi^I a),
+        sum c e^K phi^K ((phi^I a)_i phi^J b).
     """
     if uses_t(poly):
         raise ValueError("the action is defined on the t-free ring")
@@ -148,38 +143,35 @@ def tensoriality_defect(
         raise ValueError(
             f"polynomial has {ring_size(poly.ring)} indices but the family has {family.n}"
         )
-    chart = family.chart
-    # terms grouped by the (I, J) power pair, so brackets are shared over K
-    groups: dict[tuple, list] = {}
+    chart, sig = family.chart, family.signature
+    # the outer endomorphism sum_K c e^K phi^K, per (I, J)
+    outer: dict[tuple, Endomorphism] = {}
     for I, J, K, coeff in split_terms(poly):
-        groups.setdefault((I, J), []).append((K, coeff))
-    powers = {p for (pi, pj) in groups for p in (pi, pj)}
-    powers.update(pk for ks in groups.values() for pk, _ in ks)
+        sign = prod(sig[k] for k, e in enumerate(K, start=1) if e % 2)
+        term = family.power_endo(K).scale(coeff * sign)
+        outer[I, J] = outer[I, J] + term if (I, J) in outer else term
     basis = chart.basis_sections()
-    applied = _powers_applied(family, powers, basis)
-    base = _action_table(family, groups, applied, applied, applied)
-    size = len(basis)
-    for i in range(1, chart.dim + 1):
-        f = chart.coordinate(i)
-        scaled = _powers_applied(family, powers, [sec.scale(f) for sec in basis])
-        second = _action_table(family, groups, applied, scaled, applied)
-        first = _action_table(family, groups, scaled, applied, applied)
-        for ia in range(size):
-            for ib in range(size):
-                for ic in range(size):
-                    expected = f * base[ia][ib][ic]
-                    d2 = second[ia][ib][ic] - expected
-                    if not d2.is_zero():
-                        return d2, ("second-slot", i, basis[ia], basis[ib], basis[ic])
-                    d1 = first[ia][ib][ic] - expected
-                    if not d1.is_zero():
-                        return d1, ("first-slot", i, basis[ia], basis[ib], basis[ic])
-    return None
-
-
-def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
-    """Is (P ._phi tau_C) function-linear, i.e. a genuine tensor?"""
-    return tensoriality_defect(poly, family) is None
+    forms = basis[chart.dim :]
+    parts = []  # phi^I a, phi^J b, and the outer endomorphism of those and of du_i
+    for (I, J), m in outer.items():
+        left = [family.power_endo(I).apply(s) for s in basis]
+        right = [family.power_endo(J).apply(s) for s in basis]
+        m_left, m_right = [m.apply(s) for s in left], [m.apply(s) for s in right]
+        parts.append((left, right, m_left, m_right, [m.apply(s) for s in forms]))
+    zero = GeneralizedSection(chart, (chart.ring.zero,) * chart.dim, (chart.ring.zero,) * chart.dim)
+    for ia in range(len(basis)):
+        for ib in range(len(basis)):
+            pairings = [2 * inner_product(left[ia], right[ib]) for left, right, *_ in parts]
+            for i in range(chart.dim):
+                # the first defect is pairing_part - anchor_part
+                pairing_part = anchor_part = second = zero
+                for (left, right, m_left, m_right, m_du), pairing in zip(parts, pairings):
+                    pairing_part = _add_scaled(pairing_part, pairing, m_du[i])
+                    anchor_part = _add_scaled(anchor_part, right[ib].vector[i], m_left[ia])
+                    second = _add_scaled(second, left[ia].vector[i], m_right[ib])
+                if pairing_part != anchor_part or not second.is_zero():
+                    return False
+    return True
 
 
 # -- semiconcomitant and the derived tensors -----------------------------------

@@ -27,9 +27,10 @@ from .groebner import (
     StepBudget,
     eliminate,
     groebner_basis,
+    membership,
 )
 from .poly import MonomialOrder, Polynomial, PolyRing
-from .xyz import Signature, split_terms, uses_t, xyz_ring
+from .xyz import Signature, ring_size, split_terms, uses_t, xyz_ring
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,6 @@ def scale_into_t_ring(
 ) -> IdealPresentation:
     """Generators of tI + (1-t)J in the t-extended ring, I's first."""
     ring = i_pres.ring
-    from .xyz import ring_size
-
     t_ring = xyz_ring(ring_size(ring), with_t=True)
     t = t_ring.var("t")
     one_minus_t = t_ring.one - t
@@ -245,8 +244,6 @@ def ideal_contains(
     basis: GroebnerBasis, polys, step_budget: StepBudget | None = None
 ) -> tuple[bool, Polynomial | None]:
     """Do all the polynomials reduce to zero?  Returns a witness otherwise."""
-    from .groebner import membership
-
     for f in polys:
         if not membership(f.map_ring(basis.ring), basis, step_budget):
             return False, f

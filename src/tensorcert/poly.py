@@ -385,10 +385,6 @@ class MonomialOrder:
         elim = self.eliminates if self.eliminates != name else None
         return MonomialOrder(rk, eliminates=elim)
 
-    def describe(self) -> str:
-        s = " > ".join(self.ranking)
-        return f"lex {s}" + (" (elimination)" if self.eliminates else "")
-
 
 def compare_monomials(a: Exponents, b: Exponents, order: MonomialOrder, ring: PolyRing) -> int:
     """-1, 0 or +1 as a <, =, > b under the order."""

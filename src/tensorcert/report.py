@@ -12,6 +12,7 @@ EXIT_ALL_PASS = 0
 EXIT_FAILURES = 1
 EXIT_BUDGET = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass

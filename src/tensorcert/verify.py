@@ -27,7 +27,7 @@ from .courant import (
     tensoriality_check,
     torsion_T,
 )
-from .fleet import FleetFamily, build_fleet
+from .fleet import FleetFamily
 from .groebner import (
     BudgetExceededError,
     GroebnerBasis,
@@ -607,20 +607,18 @@ def tensoriality_case(entry: FleetFamily, bridge_samples: int = 12) -> CaseResul
     return _timed(case, started)
 
 
-def unit_not_tensorial_case() -> CaseResult:
+def unit_not_tensorial_case(entry: FleetFamily) -> CaseResult:
     """P = 1 acts as the Courant element itself, which is not a tensor."""
+    family = entry.family
     case = CaseResult(
         case_id="tensoriality/unit-fails",
         suite="tensoriality",
         claim="the unit polynomial is not tensorial on a chart of dimension >= 1",
-        n=1,
-        signature="-",
+        n=family.n,
+        signature=str(family.signature),
         status="pass",
     )
     started = time.perf_counter()
-    fleet = {e.name: e for e in build_fleet()}
-    family = fleet["diag-skew-n1"].family
-    ring = xyz_ring(1)
-    if tensoriality_check(ring.one, family):
+    if tensoriality_check(xyz_ring(family.n).one, family):
         case.status = "fail"
     return _timed(case, started)

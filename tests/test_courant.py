@@ -22,9 +22,19 @@ from tensorcert.fleet import build_fleet
 from tensorcert.ideals import candidate_basis, generator_P, generator_T, vanishes_on_variety
 from tensorcert.parse import parse_polynomial
 from tensorcert.verify import random_polynomial
-from tensorcert.xyz import S3_PERMUTATIONS, Signature, apply_index_map, apply_s3, xyz_ring
+from tensorcert.xyz import (
+    S3_PERMUTATIONS,
+    Signature,
+    apply_index_map,
+    apply_s3,
+    ring_size,
+    split_terms,
+    uses_t,
+    xyz_ring,
+)
 
 FLEET = {entry.name: entry.family for entry in build_fleet()}
+SMALL_CHART_FAMILIES = sorted(name for name, fam in FLEET.items() if fam.chart.dim <= 2)
 
 
 def rnd_scalar(rng, chart, degree=1):
@@ -76,9 +86,10 @@ class TestCourantBracket:
         a, b = chart.basis_vector(1), chart.basis_vector(2)
         assert courant_bracket(a, b).is_zero()
 
-    def test_leibniz_second_slot(self):
-        rng = seeded("leibniz-2")
-        chart = Chart(2)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_leibniz_second_slot(self, dim):
+        rng = seeded(f"leibniz-2-{dim}")
+        chart = Chart(dim)
         for _ in range(25):
             a, b = rnd_section(rng, chart), rnd_section(rng, chart)
             f = rnd_scalar(rng, chart, degree=2)
@@ -86,9 +97,10 @@ class TestCourantBracket:
             rhs = courant_bracket(a, b).scale(f) + b.scale(vector_apply(a.vector, f, chart))
             assert lhs == rhs
 
-    def test_leibniz_first_slot_with_pairing_term(self):
-        rng = seeded("leibniz-1")
-        chart = Chart(2)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_leibniz_first_slot_with_pairing_term(self, dim):
+        rng = seeded(f"leibniz-1-{dim}")
+        chart = Chart(dim)
         for _ in range(25):
             a, b = rnd_section(rng, chart), rnd_section(rng, chart)
             f = rnd_scalar(rng, chart, degree=2)
@@ -284,6 +296,140 @@ class TestTensoriality:
             a, b, c = (rnd_section(rng, chart) for _ in range(3))
             assert form(a, b.scale(f), c) == f * form(a, b, c)
             assert form(a.scale(f), b, c) == f * form(a, b, c)
+
+
+# -- the bracket-table reference oracle for tensoriality_check ----------------------
+
+
+def _powers_applied(family, powers, sections):
+    return [
+        {p: family.power_endo(p).apply(sec) for p in powers} for sec in sections
+    ]
+
+
+def _action_table(family, groups, a_app, b_app, c_app):
+    """values[ia][ib][ic] of the action form, sharing brackets over the c slot."""
+    zero = family.chart.ring.zero
+    size = len(a_app)
+    table = [[[zero] * size for _ in range(size)] for _ in range(size)]
+    for ia, a_pows in enumerate(a_app):
+        for ib, b_pows in enumerate(b_app):
+            for (pi, pj), ks in groups.items():
+                bracket = courant_bracket(a_pows[pi], b_pows[pj])
+                for ic, c_pows in enumerate(c_app):
+                    acc = table[ia][ib][ic]
+                    for pk, coeff in ks:
+                        acc = acc + inner_product(bracket, c_pows[pk]).scale(coeff)
+                    table[ia][ib][ic] = acc
+    return table
+
+
+def reference_defect(poly, family):
+    """First nonzero function-linearity defect of (P ._phi tau_C), or None.
+
+    Evaluates the action form itself with brackets on basis sections and on
+    their u_i-multiples in the first two slots and compares; the defect is a
+    derivation in the function slot, so f = u_1..u_n decides it.
+    """
+    assert not uses_t(poly) and ring_size(poly.ring) == family.n
+    chart = family.chart
+    groups: dict[tuple, list] = {}
+    for I, J, K, coeff in split_terms(poly):
+        groups.setdefault((I, J), []).append((K, coeff))
+    powers = {p for (pi, pj) in groups for p in (pi, pj)}
+    powers.update(pk for ks in groups.values() for pk, _ in ks)
+    basis = chart.basis_sections()
+    applied = _powers_applied(family, powers, basis)
+    base = _action_table(family, groups, applied, applied, applied)
+    size = len(basis)
+    for i in range(1, chart.dim + 1):
+        f = chart.coordinate(i)
+        scaled = _powers_applied(family, powers, [sec.scale(f) for sec in basis])
+        second = _action_table(family, groups, applied, scaled, applied)
+        first = _action_table(family, groups, scaled, applied, applied)
+        for ia in range(size):
+            for ib in range(size):
+                for ic in range(size):
+                    expected = f * base[ia][ib][ic]
+                    d2 = second[ia][ib][ic] - expected
+                    if not d2.is_zero():
+                        return d2, ("second-slot", i, basis[ia], basis[ib], basis[ic])
+                    d1 = first[ia][ib][ic] - expected
+                    if not d1.is_zero():
+                        return d1, ("first-slot", i, basis[ia], basis[ib], basis[ic])
+    return None
+
+
+def assert_same_verdict(poly, family) -> bool:
+    verdict = tensoriality_check(poly, family)
+    assert verdict == (reference_defect(poly, family) is None), poly
+    return verdict
+
+
+class TestTensorialityAgainstBracketTables:
+    @pytest.mark.parametrize("name", SMALL_CHART_FAMILIES)
+    def test_candidate_members(self, name):
+        family = FLEET[name]
+        for poly in candidate_basis(family.signature, xyz_ring(family.n)).members:
+            assert_same_verdict(poly, family)
+
+    def test_unit_polynomial(self):
+        for name in SMALL_CHART_FAMILIES:
+            family = FLEET[name]
+            assert not assert_same_verdict(xyz_ring(family.n).one, family)
+
+    def test_torsion_pair(self):
+        poly = parse_polynomial("(x1+z1)*(y1+z1)", xyz_ring(1))
+        verdicts = {
+            name: assert_same_verdict(poly, FLEET[name])
+            for name in SMALL_CHART_FAMILIES
+            if FLEET[name].n == 1
+        }
+        assert verdicts["gacs-complex-n2"] and not verdicts["generic-skew-n2"]
+
+    def test_seeded_random_polynomials(self):
+        rng = seeded("tensoriality-oracle")
+        verdicts = set()
+        for name in ("diag-skew-n1", "gacs-complex-n2", "generic-sym-pair-n2", "diag-mixed-n2"):
+            family = FLEET[name]
+            ring = xyz_ring(family.n)
+            members = candidate_basis(family.signature, ring).members
+            for _ in range(3):
+                poly = random_polynomial(rng, ring, family.n, max_terms=3)
+                verdicts.add(assert_same_verdict(poly, family))
+                # a multiple of a candidate member lies in the ideal
+                multiple = poly * members[rng.randrange(len(members))]
+                verdicts.add(assert_same_verdict(multiple, family))
+        assert verdicts == {True, False}
+
+    def test_second_slot_defect_alone(self):
+        # a skew phi over the plane (nilpotent on vectors plus a bivector) with
+        # phi^2 as second member: x2*y1*z1 has no first-slot defect, so only
+        # the second-slot section shows that it is not tensorial
+        chart = Chart(2)
+        ring = chart.ring
+        z, uu = ring.zero, chart.coordinate(1) * chart.coordinate(2)
+        phi = Endomorphism.from_blocks(
+            chart,
+            [[z, ring.const(-2)], [z, z]],
+            [[z, uu], [-uu, z]],
+            [[z, z], [z, z]],
+            [[z, z], [ring.const(2), z]],
+        )
+        family = CommutingFamily((phi, phi.compose(phi)), Signature((-1, 1)))
+        assert not assert_same_verdict(parse_polynomial("x2*y1*z1", xyz_ring(2)), family)
+
+    def test_check_makes_no_bracket(self, monkeypatch):
+        import tensorcert.courant as courant
+
+        def refuse(a, b):
+            raise AssertionError("tensoriality_check evaluated a bracket")
+
+        monkeypatch.setattr(courant, "courant_bracket", refuse)
+        family = FLEET["gacs-complex-n2"]
+        ring = xyz_ring(1)
+        assert tensoriality_check(parse_polynomial("(x1+z1)*(y1+z1)", ring), family)
+        assert not tensoriality_check(ring.one, family)
 
 
 class TestSemiconcomitant:

@@ -129,7 +129,8 @@ class TestVerifiers:
         assert case.details["candidate_members_tensorial"]
 
     def test_unit_case(self):
-        assert unit_not_tensorial_case().status == "pass"
+        unit = next(e for e in build_fleet() if e.name == "diag-skew-n1")
+        assert unit_not_tensorial_case(unit).status == "pass"
 
 
 class TestReport:
@@ -241,6 +242,46 @@ class TestCli:
 
     def test_sig_longer_than_n_is_config_error(self):
         assert main(["certify", "--suite", "gen-set", "--n", "1", "--sig", "++"]) == 3
+
+    def test_gens_bad_signature_is_config_error(self, capsys):
+        assert main(["gens", "--n", "1", "--sig", "+?"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_gb_bad_order_is_config_error(self, tmp_path, capsys):
+        ideal = tmp_path / "ideal.txt"
+        ideal.write_text("x1 - y1\n")
+        assert main(["gb", "--ideal", str(ideal), "--order", "foo"]) == 3
+        # the ring is x1, y1, z1, so z1 is left unranked
+        assert main(["gb", "--ideal", str(ideal), "--order", "x1,y1"]) == 3
+        ideal.write_text("x1 - x1\n")
+        assert main(["gb", "--ideal", str(ideal)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_internal_error_exits_four(self, monkeypatch, capsys):
+        import tensorcert.cli as cli
+
+        def broken(sig, budget):
+            raise ValueError("an engine fault")
+
+        monkeypatch.setattr(cli, "knutson_case", broken)
+        assert main(["certify", "--suite", "knutson", "--n", "1"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: an engine fault" in err
+
+    def test_tensoriality_suite_builds_fleet_once(self, monkeypatch):
+        import tensorcert.cli as cli
+
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_fleet()
+
+        monkeypatch.setattr(cli, "build_fleet", counted)
+        report = run_suite("tensoriality", 1)
+        assert len(calls) == 1
+        assert report.exit_code() == 0
+        assert "tensoriality/unit-fails" in {c.case_id for c in report.cases}
 
     def test_budget_exhaustion_exit_two(self, capsys):
         code = main(
