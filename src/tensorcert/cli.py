@@ -220,12 +220,23 @@ def run_suite(
 def _cmd_certify(args) -> int:
     budget = default_budget(args.budget)
     sigs = _parse_signatures(args.sig, args.n_max)
+    if args.out:
+        _check_out_target(args.out)
     report = run_suite(args.suite, args.n_max, sigs, budget, max(1, args.workers))
     rendered = emit_report(report, args.format)
     if args.out:
         _write_atomically(args.out, emit_report(report, "json") + "\n")
     print(rendered)
     return report.exit_code()
+
+
+def _check_out_target(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written before any case runs."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise UsageError(f"--out {path}: directory {directory} does not exist")
+    if os.path.isdir(path) or not os.access(directory, os.W_OK):
+        raise UsageError(f"--out {path}: cannot write a report there")
 
 
 def _write_atomically(path: str, text: str) -> None:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .poly import (
+    Coefficient,
     Exponents,
     MonomialOrder,
     Polynomial,
@@ -114,7 +115,10 @@ class GroebnerBasis:
 # comparison is exactly the lex order, multiplication is addition, and
 # divisibility is one subtract-and-mask (an underflowing field sets its guard
 # bit).  Input exponents are capped at 2^15, so fields cannot overflow within
-# any realistic step budget.
+# any realistic step budget.  Coefficients arrive in the ``poly`` convention
+# (a plain int when integral, else a reduced Fraction, never a float) and
+# cross ``_align`` unconverted; quotients made inside the engine may be
+# integral Fractions, which ``_unalign`` folds back through ``from_terms``.
 
 _FIELD_BITS = 64
 _FIELD_CAP = 1 << 15
@@ -150,17 +154,11 @@ def _unpack(packed: int, nvars: int) -> Exponents:
     return tuple(reversed(out))
 
 
-def _align(f: Polynomial, positions: tuple[int, ...]) -> dict[int, Fraction]:
-    # integer coefficients stay plain ints: exact, and far cheaper than Fraction
-    return {
-        _pack(tuple(m[p] for p in positions)): (
-            c.numerator if c.denominator == 1 else c
-        )
-        for m, c in f.terms()
-    }
+def _align(f: Polynomial, positions: tuple[int, ...]) -> dict[int, Coefficient]:
+    return {_pack(tuple(m[p] for p in positions)): c for m, c in f.terms()}
 
 
-def _unalign(d: dict[int, Fraction], positions: tuple[int, ...], ring: PolyRing) -> Polynomial:
+def _unalign(d: dict[int, Coefficient], positions: tuple[int, ...], ring: PolyRing) -> Polynomial:
     nvars = len(positions)
     inverse = [0] * nvars
     for rank_pos, ring_pos in enumerate(positions):
@@ -168,7 +166,7 @@ def _unalign(d: dict[int, Fraction], positions: tuple[int, ...], ring: PolyRing)
     terms = {}
     for packed, c in d.items():
         exps = _unpack(packed, nvars)
-        terms[tuple(exps[i] for i in inverse)] = c if isinstance(c, Fraction) else Fraction(c)
+        terms[tuple(exps[i] for i in inverse)] = c
     return ring.from_terms(terms)
 
 
@@ -177,21 +175,21 @@ class _Aligned:
 
     __slots__ = ("terms", "lm", "lc")
 
-    def __init__(self, terms: dict[int, Fraction]):
+    def __init__(self, terms: dict[int, Coefficient]):
         self.terms = terms
         self.lm = max(terms)
         self.lc = terms[self.lm]
 
 
 def _divide_aligned(
-    p_terms: dict[int, Fraction],
+    p_terms: dict[int, Coefficient],
     divisors: list[_Aligned],
     budget: StepBudget,
     guard: int,
-) -> dict[int, Fraction]:
+) -> dict[int, Coefficient]:
     """The remainder of p, restarting from the first divisor after each step."""
     p = dict(p_terms)
-    remainder: dict[int, Fraction] = {}
+    remainder: dict[int, Coefficient] = {}
     get = p.get
     while p:
         m = max(p)
@@ -225,9 +223,9 @@ def _lcm_shifts(f: _Aligned, g: _Aligned, nvars: int) -> tuple[int, int]:
     return shift_f, shift_g
 
 
-def _s_poly_aligned(f: _Aligned, g: _Aligned, nvars: int) -> dict[int, Fraction]:
+def _s_poly_aligned(f: _Aligned, g: _Aligned, nvars: int) -> dict[int, Coefficient]:
     shift_f, shift_g = _lcm_shifts(f, g, nvars)
-    out: dict[int, Fraction] = {}
+    out: dict[int, Coefficient] = {}
     for m, c in f.terms.items():
         out[m + shift_f] = c * g.lc
     for m, c in g.terms.items():
@@ -257,7 +255,7 @@ def _exact_div(c, lc):
     return c / lc
 
 
-def _monic_aligned(terms: dict[int, Fraction]) -> dict[int, Fraction]:
+def _monic_aligned(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
     lc = terms[max(terms)]
     if lc == 1:
         return terms

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groebner import (
     GroebnerBasis,
@@ -29,7 +28,7 @@ from .groebner import (
     groebner_basis,
     membership,
 )
-from .poly import MonomialOrder, Polynomial, PolyRing
+from .poly import Coefficient, MonomialOrder, Polynomial, PolyRing
 from .xyz import Signature, ring_size, split_terms, uses_t, xyz_ring
 
 
@@ -145,7 +144,7 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     sum_J eps^J a_{I,J,T-J} = 0,  sum_J eps^J a_{J,T-J,I} = 0,
     sum_J eps^J a_{T-J,I,J} = 0   for all (I, T).
     """
-    buckets: dict[tuple, Fraction] = {}
+    buckets: dict[tuple, Coefficient] = {}
     for I, J, K, a in split_terms(f):
         t_jk = tuple(p + q for p, q in zip(J, K))
         t_ij = tuple(p + q for p, q in zip(I, J))
@@ -155,7 +154,7 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
             ((1, K, t_ij), sig.power(I) * a),  # a_{J, T-J, I}: J = I, I = K
             ((2, J, t_ik), sig.power(K) * a),  # a_{T-J, I, J}: J = K, I = J
         ):
-            s = buckets.get(key, Fraction(0)) + coeff
+            s = buckets.get(key, 0) + coeff
             if s:
                 buckets[key] = s
             else:

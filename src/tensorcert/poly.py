@@ -1,18 +1,24 @@
 """Sparse multivariate polynomials over exact rationals, with ranked lex orders.
 
 Everything here is immutable after construction and safe to share between
-workers.  Monomials are exponent tuples aligned to ``PolyRing.variables``;
-coefficients are ``fractions.Fraction`` (always reduced, positive denominator).
+workers.  Monomials are exponent tuples aligned to ``PolyRing.variables``.
+A stored coefficient is never zero and never a float: an integral value is a
+plain ``int`` and any other value a reduced ``fractions.Fraction`` (positive
+denominator other than 1).  Python ints are exact and far cheaper than
+``Fraction``; equality, hashing and rendering cannot tell ``2`` from
+``Fraction(2)``, so the convention is invisible outside the coefficients'
+types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
-Coefficient = Fraction
+Coefficient = int | Fraction  # int when integral, else a reduced Fraction; never 0
 
 
 class RingMismatchError(ValueError):
@@ -23,12 +29,21 @@ class OrderMismatchError(ValueError):
     """A monomial order does not rank every variable of the ring."""
 
 
-def _as_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_coeff(value) -> Coefficient:
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return _norm(value)
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _norm(c: Coefficient) -> Coefficient:
+    """Fold an integral Fraction back to int; anything else passes through."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
 
 
 class PolyRing:
@@ -44,7 +59,7 @@ class PolyRing:
         self._index = {v: i for i, v in enumerate(names)}
         self._unit_mono: Exponents = (0,) * len(names)
         self._zero = Polynomial(self, {})
-        self._one = Polynomial(self, {self._unit_mono: Fraction(1)})
+        self._one = Polynomial(self, {self._unit_mono: 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyRing) and self.variables == other.variables
@@ -97,7 +112,7 @@ class PolyRing:
             exps[self.index(name)] = e
         return Polynomial(self, {tuple(exps): c})
 
-    def from_terms(self, terms: Mapping[Exponents, Fraction]) -> Polynomial:
+    def from_terms(self, terms: Mapping[Exponents, Coefficient]) -> Polynomial:
         clean = {m: _as_coeff(c) for m, c in terms.items() if c != 0}
         for m in clean:
             if len(m) != self.nvars or any(e < 0 for e in m):
@@ -114,7 +129,7 @@ class Polynomial:
 
     __slots__ = ("ring", "_terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponents, Fraction]):
+    def __init__(self, ring: PolyRing, terms: dict[Exponents, Coefficient]):
         self.ring = ring
         self._terms = terms
 
@@ -129,16 +144,16 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def terms(self) -> Iterator[tuple[Exponents, Coefficient]]:
         return iter(self._terms.items())
 
-    def coefficient(self, mono: Exponents) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Exponents) -> Coefficient:
+        return self._terms.get(mono, 0)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         """Value as a constant; raises if the polynomial is not constant."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1:
             m, c = next(iter(self._terms.items()))
             if not any(m):
@@ -175,19 +190,24 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: Polynomial) -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other) -> Polynomial:
         other = self._coerce(other)
         self._check_ring(other)
         terms = dict(self._terms)
+        get = terms.get
         for m, c in other._terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            a = get(m)
+            if a is None:
+                terms[m] = c
+                continue
+            s = a + c
             if s:
-                terms[m] = s
+                terms[m] = _norm(s)
             else:
-                terms.pop(m, None)
+                del terms[m]
         return Polynomial(self.ring, terms)
 
     def __neg__(self) -> Polynomial:
@@ -197,18 +217,20 @@ class Polynomial:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
+        get = out.get
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                m = tuple(ea + eb for ea, eb in zip(ma, mb))
-                s = out.get(m, Fraction(0)) + ca * cb
+                m = tuple(map(add, ma, mb))
+                a = get(m)
+                s = ca * cb if a is None else a + ca * cb
                 if s:
-                    out[m] = s
+                    out[m] = _norm(s)
                 else:
-                    out.pop(m, None)
+                    del out[m]
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -228,7 +250,7 @@ class Polynomial:
         c = _as_coeff(value)
         if c == 0:
             return self.ring.zero
-        return Polynomial(self.ring, {m: k * c for m, k in self._terms.items()})
+        return Polynomial(self.ring, {m: _norm(k * c) for m, k in self._terms.items()})
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -242,12 +264,16 @@ class Polynomial:
             n >>= 1
         return result
 
-    def mul_term(self, mono: Exponents, coeff: Fraction) -> Polynomial:
+    def mul_term(self, mono: Exponents, coeff: Coefficient) -> Polynomial:
+        coeff = _as_coeff(coeff)
         if coeff == 0:
             return self.ring.zero
         return Polynomial(
             self.ring,
-            {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self._terms.items()},
+            {
+                tuple(a + b for a, b in zip(m, mono)): _norm(c * coeff)
+                for m, c in self._terms.items()
+            },
         )
 
     # -- structural maps ----------------------------------------------------
@@ -287,7 +313,8 @@ class Polynomial:
     def rename(self, mapping: Mapping[str, str], ring: PolyRing | None = None) -> Polynomial:
         """Variable renaming (must be injective on the support)."""
         target = ring if ring is not None else self.ring
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
+        get = out.get
         names = self.ring.variables
         for m, c in self._terms.items():
             exps = [0] * target.nvars
@@ -295,11 +322,15 @@ class Polynomial:
                 if e:
                     exps[target.index(mapping.get(v, v))] += e
             key = tuple(exps)
-            s = out.get(key, Fraction(0)) + c
+            a = get(key)
+            if a is None:
+                out[key] = c
+                continue
+            s = a + c
             if s:
-                out[key] = s
+                out[key] = _norm(s)
             else:
-                out.pop(key, None)
+                del out[key]
         return Polynomial(target, out)
 
     def map_ring(self, target: PolyRing) -> Polynomial:
@@ -310,16 +341,12 @@ class Polynomial:
 
     def derivative(self, name: str) -> Polynomial:
         i = self.ring.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for m, c in self._terms.items():
             e = m[i]
             if e:
-                dm = m[:i] + (e - 1,) + m[i + 1 :]
-                s = out.get(dm, Fraction(0)) + c * e
-                if s:
-                    out[dm] = s
-                else:
-                    out.pop(dm, None)
+                # distinct monomials stay distinct after d/dv, so no collisions
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = _norm(c * e)
         return Polynomial(self.ring, out)
 
 
@@ -393,7 +420,7 @@ def compare_monomials(a: Exponents, b: Exponents, order: MonomialOrder, ring: Po
     return (ka > kb) - (ka < kb)
 
 
-def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
+def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Exponents, Coefficient]:
     """The order-greatest term of a nonzero polynomial."""
     if f.is_zero():
         raise ValueError("zero polynomial has no leading term")
@@ -402,7 +429,7 @@ def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fracti
     return m, f._terms[m]
 
 
-def sorted_terms(f: Polynomial, order: MonomialOrder) -> list[tuple[Exponents, Fraction]]:
+def sorted_terms(f: Polynomial, order: MonomialOrder) -> list[tuple[Exponents, Coefficient]]:
     """Terms in decreasing order."""
     key = order.key_for(f.ring)
     return sorted(f._terms.items(), key=lambda mc: key(mc[0]), reverse=True)
@@ -412,4 +439,4 @@ def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     if f.is_zero():
         return f
     _, c = leading_term(f, order)
-    return f.scale(1 / c)
+    return f.scale(Fraction(1) / c)

@@ -16,7 +16,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .chart import CommutingFamily, GeneralizedSection
 from .courant import (
@@ -152,7 +151,7 @@ def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
             problems.append(render_polynomial(g, basis.order))
             continue
         lead_mono, _ = leading_term(g, basis.order)
-        lead_poly = g.ring.from_terms({lead_mono: Fraction(1)})
+        lead_poly = g.ring.from_terms({lead_mono: 1})
         if indices_of(lead_poly) != used:
             problems.append(render_polynomial(g, basis.order))
     return not problems, problems
@@ -280,7 +279,7 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
             if not sqfree:
                 case.status = "fail"
                 case.witnesses.extend(
-                    render_polynomial(ring.from_terms({g: Fraction(1)}))
+                    render_polynomial(ring.from_terms({g: 1}))
                     for g in lead_ideal.sorted_generators()
                     if any(e > 1 for e in g)
                 )
@@ -290,7 +289,7 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
         f_xz = knutson_F(sig, ring)
         lead, _ = leading_term(f_xz, order_xz)
         expected = ring.monomial({f"{w}{i}": 1 for w in "xyz" for i in range(1, n + 1)})
-        lead_ok = ring.from_terms({lead: Fraction(1)}) == expected
+        lead_ok = ring.from_terms({lead: 1}) == expected
         case.details["splitting_lead_is_all_vars"] = lead_ok
         if not lead_ok:
             case.status = "fail"
@@ -433,7 +432,7 @@ def _monomial_witnesses(ring, left: MonomialIdeal, right: MonomialIdeal) -> list
     for a, b in ((left, right), (right, left)):
         for g in a.sorted_generators():
             if not b.contains(g):
-                out.append(render_polynomial(ring.from_terms({g: Fraction(1)})))
+                out.append(render_polynomial(ring.from_terms({g: 1})))
     return out
 
 
@@ -451,10 +450,10 @@ def random_polynomial(rng: random.Random, ring, n: int, max_terms: int = 6) -> P
                 e = rng.randint(0, budget)
                 exps[ring.index(f"{w}{i}")] = e
                 budget -= e
-        coeff = Fraction(rng.randint(-3, 3))
+        coeff = rng.randint(-3, 3)
         if coeff:
             key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
     return ring.from_terms({m: c for m, c in terms.items() if c})
 
 
@@ -532,10 +531,10 @@ def random_section(rng: random.Random, family: CommutingFamily) -> GeneralizedSe
             exps = [0] * ring.nvars
             for pos in range(ring.nvars):
                 exps[pos] = rng.randint(0, 1)
-            c = Fraction(rng.randint(-2, 2))
+            c = rng.randint(-2, 2)
             if c:
                 key = tuple(exps)
-                terms[key] = terms.get(key, Fraction(0)) + c
+                terms[key] = terms.get(key, 0) + c
         return ring.from_terms({m: c for m, c in terms.items() if c})
 
     n = chart.dim

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .poly import Exponents, MonomialOrder, Polynomial, PolyRing
+from .poly import Coefficient, Exponents, MonomialOrder, Polynomial, PolyRing
 
 LETTERS = ("x", "y", "z")
 
@@ -64,7 +63,7 @@ def uses_t(f: Polynomial) -> bool:
     return "t" in f.support_vars()
 
 
-def split_terms(f: Polynomial) -> list[tuple[Exponents, Exponents, Exponents, Fraction]]:
+def split_terms(f: Polynomial) -> list[tuple[Exponents, Exponents, Exponents, Coefficient]]:
     """(I, J, K, coefficient) for every term x^I y^J z^K of a t-free polynomial."""
     if uses_t(f):
         raise ValueError("the x^I y^J z^K split is undefined for t-dependent polynomials")

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import monomials, nonzero_polynomials, polynomials
+from conftest import coefficients, monomials, nonzero_polynomials, polynomials
 from tensorcert.poly import (
     MonomialOrder,
     OrderMismatchError,
@@ -161,3 +162,112 @@ def test_monic_normalizes_leading_coefficient():
     g = monic(f, letter_block_order(1))
     assert leading_term(g, letter_block_order(1))[1] == 1
     assert g == p(R1, "x1 - 1/2*y1")
+
+
+class TestCoefficientInvariant:
+    """Integral coefficients are stored as int, all others as reduced
+    Fractions, and no stored coefficient is zero."""
+
+    def test_monic_divides_exactly(self):
+        g = monic(p(R1, "2*x1 - 1"), LEX1)
+        coeffs = dict(g.terms())
+        assert coeffs == {(1, 0, 0): 1, (0, 0, 0): Fraction(-1, 2)}
+        assert [type(c) for c in coeffs.values()] == [int, Fraction]
+
+    def test_integral_fraction_is_stored_as_int(self):
+        a = R1.monomial({"x1": 1}, Fraction(2)) + R1.const(Fraction(-3, 1))
+        b = R1.monomial({"x1": 1}, 2) + R1.const(-3)
+        assert a == b and hash(a) == hash(b)
+        assert all(type(c) is int for _, c in a.terms())
+        assert R1.one.constant_value() == 1 and type(R1.one.constant_value()) is int
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            R1.const(0.5)
+        with pytest.raises(TypeError):
+            R1.var("x1").scale(2.0)
+
+
+# -- a Fraction-only reference: terms as {exponents: Fraction}, zeros dropped --
+
+
+def _ref(f):
+    return {m: Fraction(c) for m, c in f.terms()}
+
+
+def _ref_collect(pairs):
+    out = {}
+    for m, c in pairs:
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_add(a, b):
+    return _ref_collect([*a.items(), *b.items()])
+
+
+def _ref_mul(a, b):
+    return _ref_collect(
+        (mono_mul(ma, mb), ca * cb) for ma, ca in a.items() for mb, cb in b.items()
+    )
+
+
+def _ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, images, ring):
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * ring.nvars: Fraction(c)}
+        for v, e in zip(ring.variables, m):
+            term = _ref_mul(term, _ref_pow(images.get(v, _ref(ring.var(v))), e, ring.nvars))
+        out = _ref_add(out, term)
+    return out
+
+
+def _assert_canonical(f):
+    for _, c in f.terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
+
+
+@given(
+    f=polynomials(R1, max_terms=4),
+    g=polynomials(R1, max_terms=4),
+    k=st.one_of(coefficients(), st.integers(-3, 3)),
+    mono=monomials(R1),
+    n=st.integers(0, 3),
+)
+@settings(max_examples=150)
+def test_coefficient_invariant_against_fraction_reference(f, g, k, mono, n):
+    a, b = _ref(f), _ref(g)
+    x_img, y_img = g, p(R1, "1/2*z1 + 2")
+    swapped = {"x1": "y1", "y1": "x1"}
+    merged = {"x1": "y1"}  # not injective on every support: terms may collide
+    cases = [
+        (f + g, _ref_add(a, b)),
+        (f - g, _ref_add(a, {m: -c for m, c in b.items()})),
+        (f * g, _ref_mul(a, b)),
+        (f.scale(k), {m: c * k for m, c in a.items() if k}),
+        (f.mul_term(mono, k), {mono_mul(m, mono): c * k for m, c in a.items() if k}),
+        (f ** n, _ref_pow(a, n, R1.nvars)),
+        (
+            f.derivative("y1"),
+            _ref_collect(
+                ((m[0], m[1] - 1, m[2]), c * m[1]) for m, c in a.items() if m[1]
+            ),
+        ),
+        (f.rename(swapped), {(m[1], m[0], m[2]): c for m, c in a.items()}),
+        (f.rename(merged), _ref_collect(((0, m[0] + m[1], m[2]), c) for m, c in a.items())),
+        (
+            f.substitute({"x1": x_img, "y1": y_img}),
+            _ref_substitute(a, {"x1": _ref(x_img), "y1": _ref(y_img)}, R1),
+        ),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert _ref(got) == want

@@ -350,6 +350,20 @@ class TestCli:
         assert json.loads(out.read_text())["summary"]["total"] == 2
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_unwritable_out_is_usage_error_before_any_case(self, monkeypatch, capsys, tmp_path):
+        import tensorcert.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_suite ran although --out cannot be written")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        args = ["certify", "--suite", "squeeze", "--n", "1", "--out"]
+        assert main(args + ["/nonexistent-dir/r.json"]) == 3
+        assert main(args + [str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error: --out") == 2 and len(err.strip().splitlines()) == 2
+
     def test_workers_are_clamped(self, monkeypatch):
         import concurrent.futures
         import os
