@@ -19,6 +19,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .groebner import DEFAULT_STEP_BUDGET, IdealPresentation, StepBudget, groebner_basis
 from .ideals import candidate_basis, intersect_pair
@@ -91,15 +92,19 @@ def build_parser() -> _Parser:
 
 
 def default_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("CERTIFY_BUDGET")
-    if env:
+    """``--budget``, else ``CERTIFY_BUDGET``, else the default; at least 1."""
+    budget = explicit
+    if budget is None:
+        env = os.environ.get("CERTIFY_BUDGET")
+        if not env:
+            return DEFAULT_STEP_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise UsageError(f"CERTIFY_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_STEP_BUDGET
+    if budget < 1:
+        raise UsageError(f"the step budget must be at least 1, got {budget}")
+    return budget
 
 
 # -- certify ------------------------------------------------------------------
@@ -138,50 +143,33 @@ def _sweep(n_max: int, explicit: list[Signature] | None) -> list[Signature]:
     return out
 
 
-def _case_specs(suite: str, n_max: int, sigs: list[Signature] | None, budget: int):
-    """Picklable (kind, payload, budget) tuples; order defines stable case ids.
+def _case_calls(suite: str, n_max: int, sigs: list[Signature] | None, budget: int):
+    """Picklable zero-argument case calls; their order defines stable case ids.
 
-    A tensoriality payload is the fleet family itself, so workers never
-    rebuild the fleet; the unit case runs on the one-member skew family.
+    The case functions are read from this module's namespace each time the
+    calls are built, so a rebinding (a tracer, a test) reaches them.  A
+    tensoriality call carries its fleet family, so workers never rebuild the
+    fleet; the unit case runs on the one-member skew family.
     """
-    specs = []
+    calls = []
     if suite in ("gen-set", "all"):
-        for sig in _sweep(n_max, sigs):
-            specs.append(("gen-set", str(sig), budget))
+        calls += [partial(gen_set_case, sig, budget) for sig in _sweep(n_max, sigs)]
     if suite in ("knutson", "all"):
-        for sig in _sweep(n_max, sigs):
-            specs.append(("knutson", str(sig), budget))
+        calls += [partial(knutson_case, sig, budget) for sig in _sweep(n_max, sigs)]
     if suite in ("squeeze", "all"):
-        for n in range(1, n_max + 1):
-            specs.append(("squeeze", n, budget))
+        calls += [partial(squeeze_case, n, budget) for n in range(1, n_max + 1)]
     if suite in ("oracle-equiv", "all"):
-        for sig in _sweep(n_max, sigs):
-            specs.append(("oracle-equiv", str(sig), budget))
+        calls += [partial(oracle_equivalence_case, sig, budget) for sig in _sweep(n_max, sigs)]
     if suite in ("tensoriality", "all"):
         fleet = build_fleet()
-        for entry in fleet:
-            if entry.family.signature.n <= n_max:
-                specs.append(("tensoriality", entry, budget))
+        calls += [partial(tensoriality_case, e) for e in fleet if e.family.signature.n <= n_max]
         unit = next(entry for entry in fleet if entry.name == "diag-skew-n1")
-        specs.append(("tensoriality-unit", unit, budget))
-    return specs
+        calls.append(partial(unit_not_tensorial_case, unit))
+    return calls
 
 
-def _run_spec(spec) -> CaseResult:
-    kind, payload, budget = spec
-    if kind == "gen-set":
-        return gen_set_case(Signature.parse(payload), budget)
-    if kind == "knutson":
-        return knutson_case(Signature.parse(payload), budget)
-    if kind == "squeeze":
-        return squeeze_case(payload, budget)
-    if kind == "oracle-equiv":
-        return oracle_equivalence_case(Signature.parse(payload), budget)
-    if kind == "tensoriality":
-        return tensoriality_case(payload)
-    if kind == "tensoriality-unit":
-        return unit_not_tensorial_case(payload)
-    raise ValueError(f"unknown case kind {kind}")
+def _call(case_call) -> CaseResult:
+    return case_call()
 
 
 def run_suite(
@@ -193,13 +181,13 @@ def run_suite(
 ) -> CertReport:
     if n_max < 1:
         raise UsageError("--n must be at least 1")
-    specs = _case_specs(suite, n_max, signatures, step_budget)
-    processes = min(workers, len(specs), os.cpu_count() or 1)
+    calls = _case_calls(suite, n_max, signatures, step_budget)
+    processes = min(workers, len(calls), os.cpu_count() or 1)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            cases = list(pool.map(_run_spec, specs))
+            cases = list(pool.map(_call, calls))
     else:
-        cases = [_run_spec(s) for s in specs]
+        cases = [call() for call in calls]
     order_note = (
         "elimination lex t > x_N > y_N > z_N > ... > x_1 > y_1 > z_1; "
         "squeeze suite uses lex x_1 > ... > x_N > y_1 > ... > z_N; "

@@ -24,8 +24,6 @@ class CertReport:
     step_budget: int
     workers: int
     cases: list[CaseResult] = field(default_factory=list)
-    tool: str = "tensorcert"
-    version: str = __version__
 
     def sorted_cases(self) -> list[CaseResult]:
         return sorted(self.cases, key=lambda c: c.case_id)
@@ -47,8 +45,8 @@ class CertReport:
 
     def to_dict(self) -> dict:
         return {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "tensorcert",
+            "version": __version__,
             "suite": self.suite,
             "n_max": self.n_max,
             "signatures": self.signatures,
@@ -59,21 +57,6 @@ class CertReport:
             "cases": [c.to_dict() for c in self.sorted_cases()],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CertReport":
-        report = cls(
-            suite=data["suite"],
-            n_max=data["n_max"],
-            signatures=data["signatures"],
-            order_description=data["order"],
-            step_budget=data["step_budget"],
-            workers=data["workers"],
-            tool=data.get("tool", "tensorcert"),
-            version=data.get("version", __version__),
-        )
-        report.cases = [CaseResult.from_dict(c) for c in data.get("cases", [])]
-        return report
-
 
 def emit_report(report: CertReport, fmt: str = "json") -> str:
     if fmt == "json":
@@ -83,13 +66,9 @@ def emit_report(report: CertReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def parse_report(text: str) -> CertReport:
-    return CertReport.from_dict(json.loads(text))
-
-
 def _text_report(report: CertReport) -> str:
     lines = [
-        f"{report.tool} {report.version} -- suite {report.suite} "
+        f"tensorcert {__version__} -- suite {report.suite} "
         f"(N <= {report.n_max}, signatures {report.signatures})",
         f"order: {report.order_description}",
         f"step budget: {report.step_budget}",

@@ -4,6 +4,13 @@ Every verifier is a pure function of its inputs (random sampling is seeded
 from the case id), so cases can run concurrently and reports are reproducible
 modulo wall-clock fields.
 
+A verifier only states its checks.  It opens its record with ``_case``, one
+runner that builds the ``CaseResult``, times the body into ``wall_time_ms``
+and turns a ``BudgetExceededError`` into status ``budget``.  Each claim is
+recorded by ``CaseResult.check(key, ok, *witnesses)``: the detail flag is
+written in place (so report keys keep their order), and a false flag fails
+the case with the given witnesses.  Witnesses are rendered only on failure.
+
 Ideal equalities (gen-set, knutson) are certified by syntactic equality of
 reduced Groebner bases under one order; reduced bases are unique for
 (ideal, order), so one comparison proves both inclusions.  Membership runs
@@ -15,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .chart import CommutingFamily, GeneralizedSection
@@ -63,7 +71,8 @@ from .xyz import (
     xyz_ring,
 )
 
-DEFAULT_ORACLE_SAMPLES = 500
+ORACLE_SAMPLES = 500  # random samples per oracle-equiv case
+BRIDGE_SAMPLES = 12  # section triples per bridge identity
 SEED_TAG = "tensorcert-2026"
 # witness for reduced bases that differ while each ideal contains the other,
 # which uniqueness of reduced bases rules out unless the engine is at fault
@@ -76,7 +85,7 @@ class CaseResult:
     suite: str
     claim: str
     n: int
-    signature: str | None
+    signature: str
     status: str  # pass | fail | budget
     witnesses: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
@@ -95,24 +104,31 @@ class CaseResult:
             "wall_time_ms": self.wall_time_ms,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaseResult":
-        return cls(
-            case_id=data["case_id"],
-            suite=data["suite"],
-            claim=data["claim"],
-            n=data["N"],
-            signature=data.get("signature"),
-            status=data["status"],
-            witnesses=list(data.get("witnesses", [])),
-            details=dict(data.get("details", {})),
-            wall_time_ms=int(data.get("wall_time_ms", 0)),
-        )
+    def check(self, key: str, ok: bool, *witnesses: str) -> bool:
+        """Record the detail flag ``key``; a false one fails the case."""
+        self.details[key] = ok
+        if not ok:
+            self.status = "fail"
+            self.witnesses.extend(witnesses)
+        return ok
 
 
-def _timed(case: CaseResult, started: float) -> CaseResult:
-    case.wall_time_ms = int((time.perf_counter() - started) * 1000)
-    return case
+@contextmanager
+def _case(suite: str, key: str, claim: str, sig: Signature):
+    """The one case runner: a passing record, timed, budget-aware."""
+    case = CaseResult(f"{suite}/{key}", suite, claim, sig.n, str(sig), "pass")
+    started = time.perf_counter()
+    try:
+        yield case
+    except BudgetExceededError:
+        case.status = "budget"
+    finally:
+        case.wall_time_ms = int((time.perf_counter() - started) * 1000)
+
+
+def _rendered(poly: Polynomial | None, order: MonomialOrder) -> tuple[str, ...]:
+    """A witness, or none for ``None``."""
+    return () if poly is None else (render_polynomial(poly, order),)
 
 
 def _seed(case_id: str) -> random.Random:
@@ -164,23 +180,12 @@ def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
     (I^y cap I^z) first, as an independent cross-check.
     """
     n = sig.n
-    case = CaseResult(
-        case_id=f"gen-set/N{n}/{sig}",
-        suite="gen-set",
-        claim="triple-intersection ideal is generated by the cubic T and quadratic P polynomials",
-        n=n,
-        signature=str(sig),
-        status="pass",
-    )
-    started = time.perf_counter()
-    budget = StepBudget(budget_limit)
-    try:
+    claim = "triple-intersection ideal is generated by the cubic T and quadratic P polynomials"
+    with _case("gen-set", f"N{n}/{sig}", claim, sig) as case:
+        budget = StepBudget(budget_limit)
         j_basis = groebner_basis(j_ideal_presentation(sig), budget)
         ok, problems = structural_claims(j_basis)
-        case.details["structural_claims"] = ok
-        if not ok:
-            case.status = "fail"
-            case.witnesses.extend(problems[:3])
+        case.check("structural_claims", ok, *problems[:3])
         intersection = eliminate(j_basis, "t")
         case.details["intersection_basis_size"] = len(intersection.elements)
         # surfaced for inspection: extra elements beyond the T/P set live here
@@ -196,20 +201,15 @@ def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
         # inclusions; membership only runs to name a witness once they differ
         same = cand_gb.elements == intersection.elements
         ok_fwd = ok_bwd = same
+        missing = extra = None
         if not same:
             ok_fwd, missing = ideal_contains(intersection, cand.members, budget)
             ok_bwd, extra = ideal_contains(cand_gb, intersection.elements, budget)
             if ok_fwd and ok_bwd:  # only an engine fault gets here
                 case.status = "fail"
                 case.witnesses.append(BASES_DIFFER)
-        case.details["candidates_in_intersection"] = ok_fwd
-        if not ok_fwd:
-            case.status = "fail"
-            case.witnesses.append(render_polynomial(missing, order))
-        case.details["intersection_in_candidates"] = ok_bwd
-        if not ok_bwd:
-            case.status = "fail"
-            case.witnesses.append(render_polynomial(extra, order))
+        case.check("candidates_in_intersection", ok_fwd, *_rendered(missing, order))
+        case.check("intersection_in_candidates", ok_bwd, *_rendered(extra, order))
 
         sqfree = initial_ideal(intersection).is_squarefree()
         case.details["initial_ideal_squarefree"] = sqfree
@@ -224,13 +224,10 @@ def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
                 budget,
             )
             agreed = full.elements == intersection.elements
-            case.details["double_elimination_cross_check"] = agreed
-            if not agreed:
-                case.status = "fail"
-                case.witnesses.append("double-elimination route disagrees")
-    except BudgetExceededError:
-        case.status = "budget"
-    return _timed(case, started)
+            case.check(
+                "double_elimination_cross_check", agreed, "double-elimination route disagrees"
+            )
+    return case
 
 
 # -- Knutson / product = intersection --------------------------------------------
@@ -242,18 +239,10 @@ PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
 def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
     """product = intersection for the three axis pairs, with squarefree leads."""
     n = sig.n
-    case = CaseResult(
-        case_id=f"knutson/N{n}/{sig}",
-        suite="knutson",
-        claim="axis-ideal products equal the pairwise intersections; product initial ideals are squarefree",
-        n=n,
-        signature=str(sig),
-        status="pass",
-    )
-    started = time.perf_counter()
-    budget = StepBudget(budget_limit)
-    ring = xyz_ring(n)
-    try:
+    claim = "axis-ideal products equal the pairwise intersections; product initial ideals are squarefree"
+    with _case("knutson", f"N{n}/{sig}", claim, sig) as case:
+        budget = StepBudget(budget_limit)
+        ring = xyz_ring(n)
         for pair in PAIRS:
             order = pair_order(pair, n)
             axes = build_axis_ideals(sig, order, ring)
@@ -266,18 +255,13 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
             # bases are equal ideals; membership only names the witness
             equal = product_gb.elements == intersection.elements
             key = "".join(pair)
-            case.details[f"{key}_product_equals_intersection"] = equal
-            if not equal:
-                case.status = "fail"
+            if not case.check(f"{key}_product_equals_intersection", equal):
                 ok, witness = ideal_contains(intersection, product_gb.elements, budget)
                 if ok:
                     ok, witness = ideal_contains(product_gb, intersection.elements, budget)
                 case.witnesses.append(BASES_DIFFER if ok else render_polynomial(witness, order))
             lead_ideal = initial_ideal(product_gb)
-            sqfree = lead_ideal.is_squarefree()
-            case.details[f"{key}_initial_ideal_squarefree"] = sqfree
-            if not sqfree:
-                case.status = "fail"
+            if not case.check(f"{key}_initial_ideal_squarefree", lead_ideal.is_squarefree()):
                 case.witnesses.extend(
                     render_polynomial(ring.from_terms({g: 1}))
                     for g in lead_ideal.sorted_generators()
@@ -289,14 +273,9 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
         f_xz = knutson_F(sig, ring)
         lead, _ = leading_term(f_xz, order_xz)
         expected = ring.monomial({f"{w}{i}": 1 for w in "xyz" for i in range(1, n + 1)})
-        lead_ok = ring.from_terms({lead: 1}) == expected
-        case.details["splitting_lead_is_all_vars"] = lead_ok
-        if not lead_ok:
-            case.status = "fail"
+        if not case.check("splitting_lead_is_all_vars", ring.from_terms({lead: 1}) == expected):
             case.witnesses.append(render_polynomial(f_xz, order_xz))
-    except BudgetExceededError:
-        case.status = "budget"
-    return _timed(case, started)
+    return case
 
 
 # -- the squeeze route (all-plus signature) ---------------------------------------
@@ -333,19 +312,11 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
     """The squeeze argument: certified product bases pin the intersection's
     initial ideal, forcing the candidate set to be a Groebner basis."""
     sig = Signature((1,) * n)
-    case = CaseResult(
-        case_id=f"squeeze/N{n}",
-        suite="squeeze",
-        claim="product bases certified, initial-ideal intersection matches its closed form, T/P set is a Groebner basis",
-        n=n,
-        signature=str(sig),
-        status="pass",
-    )
-    started = time.perf_counter()
-    budget = StepBudget(budget_limit)
-    ring = xyz_ring(n)
-    order = letter_block_order(n)
-    try:
+    claim = "product bases certified, initial-ideal intersection matches its closed form, T/P set is a Groebner basis"
+    with _case("squeeze", f"N{n}", claim, sig) as case:
+        budget = StepBudget(budget_limit)
+        ring = xyz_ring(n)
+        order = letter_block_order(n)
         f = [ring.var(f"y{i}") - ring.var(f"z{i}") for i in range(1, n + 1)]
         g = [ring.var(f"z{i}") - ring.var(f"x{i}") for i in range(1, n + 1)]
         h = [ring.var(f"x{i}") - ring.var(f"y{i}") for i in range(1, n + 1)]
@@ -358,10 +329,7 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
         ]
         for name, basis in (("xy", basis_xy), ("xz", basis_xz), ("yz", basis_yz)):
             holds, witness = buchberger_criterion(basis, order, budget)
-            case.details[f"{name}_generators_are_groebner"] = holds
-            if not holds:
-                case.status = "fail"
-                case.witnesses.append(render_polynomial(witness, order))
+            case.check(f"{name}_generators_are_groebner", holds, *_rendered(witness, order))
 
         in_xy = MonomialIdeal.from_monomials(
             ring, (leading_term(p, order)[0] for p in basis_xy)
@@ -374,10 +342,7 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
         )
         computed = in_xy.intersect(in_xz).intersect(in_yz)
         closed = initial_intersection_closed_form(n)
-        match_closed = computed.equals(closed)
-        case.details["intersection_matches_closed_form"] = match_closed
-        if not match_closed:
-            case.status = "fail"
+        if not case.check("intersection_matches_closed_form", computed.equals(closed)):
             case.witnesses.extend(_monomial_witnesses(ring, computed, closed))
 
         cand = candidate_basis(sig, ring)
@@ -390,32 +355,25 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
             lead, _ = leading_term(generator_P(i, j, sig, ring), order)
             if lead != _mono_of(ring, {f"x{i}": 1, f"y{j}": 1}):
                 lead_checks = False
-        case.details["candidate_lead_terms_as_predicted"] = lead_checks
-        if not lead_checks:
-            case.status = "fail"
+        case.check("candidate_lead_terms_as_predicted", lead_checks)
 
         cand_initial = MonomialIdeal.from_monomials(
             ring, (leading_term(p, order)[0] for p in cand.members)
         )
         squeeze_match = cand_initial.equals(computed)
-        case.details["candidate_initial_ideal_matches_intersection"] = squeeze_match
-        if not squeeze_match:
-            case.status = "fail"
+        if not case.check("candidate_initial_ideal_matches_intersection", squeeze_match):
             case.witnesses.extend(_monomial_witnesses(ring, cand_initial, computed))
 
         contained = all(vanishes_on_variety(p, sig) for p in cand.members)
-        case.details["candidates_vanish_on_variety"] = contained
-        if not contained:
-            case.status = "fail"
+        case.check("candidates_vanish_on_variety", contained)
 
         self_certified, witness = buchberger_criterion(cand.members, order, budget)
-        case.details["candidate_set_passes_buchberger_criterion"] = self_certified
-        if not self_certified:
-            case.status = "fail"
-            case.witnesses.append(render_polynomial(witness, order))
-    except BudgetExceededError:
-        case.status = "budget"
-    return _timed(case, started)
+        case.check(
+            "candidate_set_passes_buchberger_criterion",
+            self_certified,
+            *_rendered(witness, order),
+        )
+    return case
 
 
 def _merge(*dicts) -> dict:
@@ -457,28 +415,18 @@ def random_polynomial(rng: random.Random, ring, n: int, max_terms: int = 6) -> P
     return ring.from_terms({m: c for m, c in terms.items() if c})
 
 
-def oracle_equivalence_case(
-    sig: Signature, budget_limit: int, samples: int = DEFAULT_ORACLE_SAMPLES
-) -> CaseResult:
+def oracle_equivalence_case(sig: Signature, budget_limit: int) -> CaseResult:
     """linear-system test == variety-vanishing test == Groebner membership."""
     n = sig.n
-    case = CaseResult(
-        case_id=f"oracle-equiv/N{n}/{sig}",
-        suite="oracle-equiv",
-        claim="the linear-system, variety-vanishing and Groebner-membership tests agree",
-        n=n,
-        signature=str(sig),
-        status="pass",
-    )
-    started = time.perf_counter()
-    budget = StepBudget(budget_limit)
-    rng = _seed(case.case_id)
-    ring = xyz_ring(n)
-    try:
+    claim = "the linear-system, variety-vanishing and Groebner-membership tests agree"
+    with _case("oracle-equiv", f"N{n}/{sig}", claim, sig) as case:
+        budget = StepBudget(budget_limit)
+        rng = _seed(case.case_id)
+        ring = xyz_ring(n)
         basis = tensorial_ideal_basis(sig, budget)
         cand = candidate_basis(sig, ring)
         pool: list[Polynomial] = list(cand.members)
-        while len(pool) < samples + len(cand.members):
+        while len(pool) < ORACLE_SAMPLES + len(cand.members):
             if rng.random() < 0.5:
                 sample = random_polynomial(rng, ring, n)
             else:
@@ -510,12 +458,8 @@ def oracle_equivalence_case(
             and membership(p.map_ring(basis.ring), basis, budget)
             for p in cand.members
         )
-        case.details["candidate_members_all_true"] = members_true
-        if not members_true:
-            case.status = "fail"
-    except BudgetExceededError:
-        case.status = "budget"
-    return _timed(case, started)
+        case.check("candidate_members_all_true", members_true)
+    return case
 
 
 # -- tensoriality / fixture fleet ----------------------------------------------------
@@ -545,79 +489,63 @@ def random_section(rng: random.Random, family: CommutingFamily) -> GeneralizedSe
     )
 
 
-def tensoriality_case(entry: FleetFamily, bridge_samples: int = 12) -> CaseResult:
+def tensoriality_case(entry: FleetFamily) -> CaseResult:
     """Bridge identities plus universal tensoriality on one fleet family."""
     family = entry.family
     sig = family.signature
     n = sig.n
-    case = CaseResult(
-        case_id=f"tensoriality/{entry.name}",
-        suite="tensoriality",
-        claim="derived tensors pair to the polynomial action; candidate generators act tensorially",
-        n=n,
-        signature=str(sig),
-        status="pass",
-    )
-    started = time.perf_counter()
-    rng = _seed(case.case_id)
-    ring = xyz_ring(n)
-    tau = courant_element(family.chart)
+    claim = "derived tensors pair to the polynomial action; candidate generators act tensorially"
+    with _case("tensoriality", entry.name, claim, sig) as case:
+        rng = _seed(case.case_id)
+        ring = xyz_ring(n)
+        tau = courant_element(family.chart)
 
-    index_triples = list(itertools.product(range(1, n + 1), repeat=3))
-    rng.shuffle(index_triples)
-    bridge_ok = 0
-    for i, j, k in index_triples[:4]:
-        poly = generator_T(i, j, k, sig, ring)
-        form = polynomial_action(poly, family, tau)
-        for _ in range(bridge_samples):
-            a, b, c = (random_section(rng, family) for _ in range(3))
-            lhs = inner_product(torsion_T(i, j, k, family, a, b), c)
-            if lhs == form(a, b, c):
-                bridge_ok += 1
-            else:
-                case.status = "fail"
-                case.witnesses.append(f"torsion bridge {i}{j}{k}")
-    sym_pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(1, n + 1), 2)
-        if sig[i] == 1 and sig[j] == 1
-    ]
-    for i, j in sym_pairs:
-        poly = generator_P(i, j, sig, ring)
-        form = polynomial_action(poly, family, tau)
-        for _ in range(bridge_samples):
-            a, b, c = (random_section(rng, family) for _ in range(3))
-            lhs = inner_product(tensor_P(i, j, family, a, b), c)
-            if lhs == form(a, b, c):
-                bridge_ok += 1
-            else:
-                case.status = "fail"
-                case.witnesses.append(f"quadratic bridge {i}{j}")
-    case.details["bridge_checks"] = bridge_ok
+        index_triples = list(itertools.product(range(1, n + 1), repeat=3))
+        rng.shuffle(index_triples)
+        bridge_ok = 0
+        for i, j, k in index_triples[:4]:
+            poly = generator_T(i, j, k, sig, ring)
+            form = polynomial_action(poly, family, tau)
+            for _ in range(BRIDGE_SAMPLES):
+                a, b, c = (random_section(rng, family) for _ in range(3))
+                lhs = inner_product(torsion_T(i, j, k, family, a, b), c)
+                if lhs == form(a, b, c):
+                    bridge_ok += 1
+                else:
+                    case.status = "fail"
+                    case.witnesses.append(f"torsion bridge {i}{j}{k}")
+        sym_pairs = [
+            (i, j)
+            for i, j in itertools.combinations(range(1, n + 1), 2)
+            if sig[i] == 1 and sig[j] == 1
+        ]
+        for i, j in sym_pairs:
+            poly = generator_P(i, j, sig, ring)
+            form = polynomial_action(poly, family, tau)
+            for _ in range(BRIDGE_SAMPLES):
+                a, b, c = (random_section(rng, family) for _ in range(3))
+                lhs = inner_product(tensor_P(i, j, family, a, b), c)
+                if lhs == form(a, b, c):
+                    bridge_ok += 1
+                else:
+                    case.status = "fail"
+                    case.witnesses.append(f"quadratic bridge {i}{j}")
+        case.details["bridge_checks"] = bridge_ok
 
-    failures = []
-    for pos, poly in enumerate(candidate_basis(sig, ring).members):
-        if not tensoriality_check(poly, family):
-            failures.append(pos)
-    case.details["candidate_members_tensorial"] = not failures
-    if failures:
-        case.status = "fail"
-        case.witnesses.append(f"non-tensorial candidate positions {failures}")
-    return _timed(case, started)
+        failures = []
+        for pos, poly in enumerate(candidate_basis(sig, ring).members):
+            if not tensoriality_check(poly, family):
+                failures.append(pos)
+        if not case.check("candidate_members_tensorial", not failures):
+            case.witnesses.append(f"non-tensorial candidate positions {failures}")
+    return case
 
 
 def unit_not_tensorial_case(entry: FleetFamily) -> CaseResult:
     """P = 1 acts as the Courant element itself, which is not a tensor."""
     family = entry.family
-    case = CaseResult(
-        case_id="tensoriality/unit-fails",
-        suite="tensoriality",
-        claim="the unit polynomial is not tensorial on a chart of dimension >= 1",
-        n=family.n,
-        signature=str(family.signature),
-        status="pass",
-    )
-    started = time.perf_counter()
-    if tensoriality_check(xyz_ring(family.n).one, family):
-        case.status = "fail"
-    return _timed(case, started)
+    claim = "the unit polynomial is not tensorial on a chart of dimension >= 1"
+    with _case("tensoriality", "unit-fails", claim, family.signature) as case:
+        if tensoriality_check(xyz_ring(family.n).one, family):
+            case.status = "fail"
+    return case

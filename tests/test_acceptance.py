@@ -189,7 +189,7 @@ def test_three_way_oracle_equivalence():
     """Linear system == variety vanishing == basis membership, 500+ samples."""
     bad = []
     for sig in sweep_up_to(3):
-        case = oracle_equivalence_case(sig, BUDGET, samples=500)
+        case = oracle_equivalence_case(sig, BUDGET)
         if case.status != "pass" or case.details["agreements"] != case.details["samples"]:
             bad.append(case.case_id)
         if not case.details["candidate_members_all_true"]:

@@ -1,6 +1,8 @@
 """Suite verifiers, report schema, CLI contract, and determinism."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 
 from tensorcert.cli import main, run_suite
 from tensorcert.groebner import DEFAULT_STEP_BUDGET
-from tensorcert.report import CertReport, emit_report, parse_report
+from tensorcert.report import CertReport, emit_report
 from tensorcert.verify import (
     gen_set_case,
     knutson_case,
@@ -18,6 +20,7 @@ from tensorcert.verify import (
     unit_not_tensorial_case,
 )
 from tensorcert.fleet import build_fleet
+from tensorcert.ideals import candidate_basis
 from tensorcert.xyz import Signature
 
 BUDGET = DEFAULT_STEP_BUDGET
@@ -65,13 +68,13 @@ class TestVerifiers:
             assert case.status == "pass", case.witnesses
 
     def test_oracle_equivalence_small(self):
-        case = oracle_equivalence_case(Signature((-1,)), BUDGET, samples=60)
+        case = oracle_equivalence_case(Signature((-1,)), BUDGET)
         assert case.status == "pass", case.witnesses
         assert case.details["agreements"] == case.details["samples"]
 
     def test_oracle_case_is_deterministic(self):
-        one = oracle_equivalence_case(Signature((1,)), BUDGET, samples=40)
-        two = oracle_equivalence_case(Signature((1,)), BUDGET, samples=40)
+        one = oracle_equivalence_case(Signature((1,)), BUDGET)
+        two = oracle_equivalence_case(Signature((1,)), BUDGET)
         one.wall_time_ms = two.wall_time_ms = 0
         assert one == two
 
@@ -124,13 +127,96 @@ class TestVerifiers:
 
     def test_tensoriality_case_small(self):
         fleet = {e.name: e for e in build_fleet()}
-        case = tensoriality_case(fleet["diag-skew-n1"], bridge_samples=4)
+        case = tensoriality_case(fleet["diag-skew-n1"])
         assert case.status == "pass", case.witnesses
         assert case.details["candidate_members_tensorial"]
 
     def test_unit_case(self):
         unit = next(e for e in build_fleet() if e.name == "diag-skew-n1")
         assert unit_not_tensorial_case(unit).status == "pass"
+
+
+class TestFailurePaths:
+    """Each verifier's failing and budget paths pin status, flags and witnesses."""
+
+    def test_knutson_names_wrong_splitting_lead(self, monkeypatch):
+        import tensorcert.verify as verify
+
+        monkeypatch.setattr(verify, "knutson_F", lambda sig, ring: ring.var("x1"))
+        case = knutson_case(Signature((1,)), BUDGET)
+        assert case.status == "fail"
+        assert [k for k, v in case.details.items() if not v] == ["splitting_lead_is_all_vars"]
+        assert case.witnesses == ["x1"]
+
+    def test_squeeze_names_dropped_torsion_lead(self, monkeypatch):
+        import tensorcert.verify as verify
+        from tensorcert.ideals import CandidateBasis, candidate_basis
+
+        def drop_first_torsion(sig, ring=None):
+            cand = candidate_basis(sig, ring)
+            return CandidateBasis(cand.torsion_gens[1:], cand.quadratic_gens, sig)
+
+        monkeypatch.setattr(verify, "candidate_basis", drop_first_torsion)
+        case = squeeze_case(2, BUDGET)
+        assert case.status == "fail"
+        failed = [k for k, v in case.details.items() if not v]
+        assert failed == ["candidate_initial_ideal_matches_intersection"]
+        assert case.witnesses == ["x1^2*y1"]
+
+    def test_oracle_equivalence_names_disagreeing_sample(self, monkeypatch):
+        import tensorcert.verify as verify
+        from tensorcert.ideals import is_universally_tensorial_linear
+
+        first = candidate_basis(Signature((1,))).members[0]
+
+        def wrong_on_first(poly, sig):
+            return is_universally_tensorial_linear(poly, sig) != (poly == first)
+
+        monkeypatch.setattr(verify, "is_universally_tensorial_linear", wrong_on_first)
+        case = oracle_equivalence_case(Signature((1,)), BUDGET)
+        assert case.status == "fail"
+        # the pool starts with the candidate members; two random
+        # combinations happen to equal the first one as well
+        witness = "-x1^2*y1 + x1^2*z1 + x1*y1^2 - x1*z1^2 - y1^2*z1 + y1*z1^2"
+        assert case.witnesses == [witness] * 3
+        assert case.details == {
+            "disagreements": [{"linear": False, "variety": True, "membership": True}] * 3,
+            "samples": 501,
+            "agreements": 498,
+            "candidate_members_all_true": False,
+        }
+
+    def test_tensoriality_names_non_tensorial_positions(self, monkeypatch):
+        import tensorcert.verify as verify
+
+        monkeypatch.setattr(verify, "tensoriality_check", lambda poly, family: False)
+        fleet = {e.name: e for e in build_fleet()}
+        case = tensoriality_case(fleet["diag-skew-n1"])
+        assert case.status == "fail"
+        assert case.details == {"bridge_checks": 12, "candidate_members_tensorial": False}
+        assert case.witnesses == ["non-tensorial candidate positions [0]"]
+
+    def test_unit_case_fails_when_unit_is_tensorial(self, monkeypatch):
+        import tensorcert.verify as verify
+
+        monkeypatch.setattr(verify, "tensoriality_check", lambda poly, family: True)
+        unit = next(e for e in build_fleet() if e.name == "diag-skew-n1")
+        case = unit_not_tensorial_case(unit)
+        assert (case.status, case.witnesses, case.details) == ("fail", [], {})
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: knutson_case(Signature((1,)), budget_limit=1),
+            lambda: oracle_equivalence_case(Signature((1,)), budget_limit=1),
+            # squeeze at N = 1 takes no reduction step at all
+            lambda: squeeze_case(2, budget_limit=1),
+        ],
+        ids=["knutson", "oracle-equiv", "squeeze"],
+    )
+    def test_budget_of_one_step(self, run):
+        case = run()
+        assert (case.status, case.witnesses, case.details) == ("budget", [], {})
 
 
 class TestReport:
@@ -142,10 +228,7 @@ class TestReport:
 
     def test_json_roundtrip_modulo_timing(self):
         report = self.build()
-        parsed = parse_report(emit_report(report, "json"))
-        for case in report.cases + parsed.cases:
-            case.wall_time_ms = 0
-        assert parsed.to_dict() == report.to_dict()
+        assert json.loads(emit_report(report, "json")) == report.to_dict()
 
     def test_empty_report_is_valid_json(self):
         report = CertReport(
@@ -195,8 +278,8 @@ class TestReport:
             workers=1,
             cases=[case],
         )
-        parsed = parse_report(emit_report(report, "json"))
-        witness = parsed.cases[0].witnesses[0]
+        parsed = json.loads(emit_report(report, "json"))
+        witness = parsed["cases"][0]["witnesses"][0]
         assert not parse_polynomial(witness, xyz_ring(1)).is_zero()
         assert report.exit_code() == 1
 
@@ -295,6 +378,36 @@ class TestCli:
         assert code == 2
         monkeypatch.setenv("CERTIFY_BUDGET", "not-a-number")
         assert main(["certify", "--suite", "gen-set", "--n", "1"]) == 3
+
+    def test_non_positive_budget_is_usage_error_before_any_case(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import tensorcert.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a case ran although the step budget is not positive")
+
+        for name in ("run_suite", "groebner_basis", "intersect_pair"):
+            monkeypatch.setattr(cli, name, never)
+        ideal = tmp_path / "ideal.txt"
+        ideal.write_text("x1 - y1\n")
+        for budget in ("--budget=0", "--budget=-5"):
+            assert main(["certify", "--suite", "knutson", "--n", "1", budget]) == 3
+            assert main(["gb", "--ideal", str(ideal), budget]) == 3
+            assert main(["intersect", "--a", str(ideal), "--b", str(ideal), budget]) == 3
+        monkeypatch.setenv("CERTIFY_BUDGET", "-1")
+        assert main(["certify", "--suite", "squeeze", "--n", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error: ") == len(err.strip().splitlines()) == 7
+
+    def test_report_matches_golden(self, capsys):
+        # certify --suite all --n 1 --format json, every wall_time_ms zeroed;
+        # tests/data/report-all-n2.json is made the same way at N = 2
+        golden = pathlib.Path(__file__).parent / "data" / "report-all-n1.json"
+        assert main(["certify", "--suite", "all", "--n", "1", "--format", "json"]) == 0
+        out = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', capsys.readouterr().out)
+        assert out == golden.read_text(encoding="utf-8")
 
     def test_gens_output_parses(self, capsys):
         code = main(["gens", "--n", "2", "--sig", "++"])
