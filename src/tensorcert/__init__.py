@@ -16,18 +16,13 @@ from .poly import (
     Polynomial,
     PolyRing,
     RingMismatchError,
-    compare_monomials,
     leading_term,
-    monic,
 )
 from .xyz import (
     Signature,
-    apply_index_map,
-    apply_s3,
     elimination_order,
     index_desc_order,
     letter_block_order,
-    multidegree_components,
     pair_order,
     xyz_ring,
 )
@@ -46,7 +41,6 @@ from .groebner import (
     membership,
     normal_form,
     reduce_basis,
-    s_polynomial,
 )
 from .ideals import (
     build_axis_ideals,

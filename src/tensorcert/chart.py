@@ -271,10 +271,3 @@ class CommutingFamily:
                     cached = cached.compose(self.members[i].power(e))
             self._power_cache[key] = cached
         return cached
-
-    def subpair(self, i: int, j: int) -> "CommutingFamily":
-        """The ordered pair (phi_i, phi_j) as a size-2 family."""
-        return CommutingFamily(
-            (self.member(i), self.member(j)),
-            Signature((self.signature[i], self.signature[j])),
-        )

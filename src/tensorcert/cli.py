@@ -121,7 +121,8 @@ def _parse_signatures(raw: list[str] | None, n_max: int) -> list[Signature] | No
             sig = _parse_signature(text)
             if sig.n > n_max:
                 raise UsageError(f"signature {text} is longer than --n {n_max}")
-            sigs.append(sig)
+            if sig not in sigs:  # a repeat would duplicate case ids
+                sigs.append(sig)
     if not sigs:
         raise UsageError("no usable signature in --sig")
     return sigs

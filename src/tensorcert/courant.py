@@ -42,10 +42,6 @@ def lie_bracket(x: Vector, y: Vector, chart: Chart) -> Vector:
     return tuple(out)
 
 
-def differential(f: Polynomial, chart: Chart) -> Vector:
-    return tuple(f.derivative(f"u{i}") for i in range(1, chart.dim + 1))
-
-
 def inner_product(a: GeneralizedSection, b: GeneralizedSection) -> Polynomial:
     """The tautological pairing (alpha(Y) + beta(X)) / 2."""
     _check_chart(a, b)
@@ -178,13 +174,11 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
 
 
 def semiconcomitant(
-    pair: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
+    p1: Endomorphism, p2: Endomorphism, a: GeneralizedSection, b: GeneralizedSection
 ) -> GeneralizedSection:
-    """K_(phi1,phi2)(a,b) =
-    [[p1 a, p2 b]] - p1 [[a, p2 b]] - p2 [[p1 a, b]] + p1 p2 [[a, b]]."""
-    if pair.n != 2:
-        raise ValueError("semiconcomitant takes a commuting pair")
-    p1, p2 = pair.member(1), pair.member(2)
+    """K_(p1,p2)(a,b) =
+    [[p1 a, p2 b]] - p1 [[a, p2 b]] - p2 [[p1 a, b]] + p1 p2 [[a, b]]
+    for two members of a validated commuting family."""
     return (
         courant_bracket(p1.apply(a), p2.apply(b))
         - p1.apply(courant_bracket(a, p2.apply(b)))
@@ -203,10 +197,9 @@ def torsion_T(
 ) -> GeneralizedSection:
     """T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b)."""
     sig = family.signature
-    pair = family.subpair(k, j)
-    phi_i = family.member(i)
-    first = semiconcomitant(pair, a, phi_i.apply(b)).scale(sig[i] * sig[k])
-    second = semiconcomitant(pair, phi_i.apply(a), b).scale(sig[k])
+    phi_k, phi_j, phi_i = family.member(k), family.member(j), family.member(i)
+    first = semiconcomitant(phi_k, phi_j, a, phi_i.apply(b)).scale(sig[i] * sig[k])
+    second = semiconcomitant(phi_k, phi_j, phi_i.apply(a), b).scale(sig[k])
     return first - second
 
 
@@ -222,6 +215,5 @@ def tensor_P(
     for idx in (i, j):
         if sig[idx] != 1:
             raise ValueError(f"index {idx} is skew; the P tensor needs symmetric indices")
-    return semiconcomitant(family.subpair(i, j), a, b) - semiconcomitant(
-        family.subpair(j, i), a, b
-    )
+    phi_i, phi_j = family.member(i), family.member(j)
+    return semiconcomitant(phi_i, phi_j, a, b) - semiconcomitant(phi_j, phi_i, a, b)

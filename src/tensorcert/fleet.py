@@ -33,53 +33,40 @@ def _mat(chart: Chart, rows) -> Endomorphism:
     return Endomorphism(chart, out)
 
 
+def _blocks(chart: Chart, a=None, b=None, c=None, d=None) -> Endomorphism:
+    """[[A, B], [C, D]] on (vector; form), an omitted block being zero."""
+    z = [[chart.ring.zero] * chart.dim] * chart.dim
+    return Endomorphism.from_blocks(chart, a or z, b or z, c or z, d or z)
+
+
+def _diagonal(chart: Chart, entries) -> list[list[Polynomial]]:
+    z = chart.ring.zero
+    return [
+        [chart.ring.const(e) if i == j else z for j in range(len(entries))]
+        for i, e in enumerate(entries)
+    ]
+
+
 def _diag_vv(chart: Chart, diag, sym: bool) -> Endomorphism:
     """[[D, 0], [0, +-D]] for diagonal D: symmetric with +, skew with -."""
-    n = chart.dim
-    z = chart.ring.zero
-    rows = []
-    for i in range(n):
-        row = [z] * 2 * n
-        row[i] = chart.ring.const(diag[i])
-        rows.append(row)
-    for i in range(n):
-        row = [z] * 2 * n
-        row[n + i] = chart.ring.const(diag[i] if sym else -diag[i])
-        rows.append(row)
-    return Endomorphism(chart, rows)
+    lower = diag if sym else [-e for e in diag]
+    return _blocks(chart, a=_diagonal(chart, diag), d=_diagonal(chart, lower))
 
 
 def _form_valued(chart: Chart, c_matrix) -> Endomorphism:
     """[[0, 0], [C, 0]]: symmetric iff C is, skew iff C is."""
-    n = chart.dim
-    z = chart.ring.zero
-    rows = [[z] * 2 * n for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[n + i][j] = c_matrix[i][j]
-    return Endomorphism(chart, rows)
+    return _blocks(chart, c=c_matrix)
 
 
 def _vector_valued(chart: Chart, b_matrix) -> Endomorphism:
     """[[0, B], [0, 0]]: symmetric iff B is, skew iff B is."""
-    n = chart.dim
-    z = chart.ring.zero
-    rows = [[z] * 2 * n for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][n + j] = b_matrix[i][j]
-    return Endomorphism(chart, rows)
+    return _blocks(chart, b=b_matrix)
 
 
 def _metric(chart: Chart, diag) -> Endomorphism:
     """[[0, g^-1], [g, 0]] for a diagonal (pseudo-)metric g."""
-    n = chart.dim
-    z = chart.ring.zero
-    rows = [[z] * 2 * n for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = chart.ring.const(Fraction(1, 1) / Fraction(diag[i]))
-        rows[n + i][i] = chart.ring.const(diag[i])
-    return Endomorphism(chart, rows)
+    inverse = [Fraction(1) / Fraction(e) for e in diag]
+    return _blocks(chart, b=_diagonal(chart, inverse), c=_diagonal(chart, diag))
 
 
 def _kahler_structures(chart: Chart) -> tuple[Endomorphism, Endomorphism, Endomorphism]:
@@ -88,8 +75,8 @@ def _kahler_structures(chart: Chart) -> tuple[Endomorphism, Endomorphism, Endomo
     o = chart.ring.one
     z = chart.ring.zero
     j0 = [[z, -o], [o, z]]
-    jc = Endomorphism.from_blocks(chart, j0, [[z, z], [z, z]], [[z, z], [z, z]], j0)
-    jw = Endomorphism.from_blocks(chart, [[z, z], [z, z]], j0, j0, [[z, z], [z, z]])
+    jc = _blocks(chart, a=j0, d=j0)
+    jw = _blocks(chart, b=j0, c=j0)
     return jc, jw, jc.compose(jw)
 
 

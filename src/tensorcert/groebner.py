@@ -27,8 +27,6 @@ from .poly import (
     Polynomial,
     PolyRing,
     leading_term,
-    mono_div,
-    mono_gcd,
     mono_lcm,
     mono_divides,
 )
@@ -265,16 +263,6 @@ def _monic_aligned(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
 
 
 # -- public operations --------------------------------------------------------
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """S(f,g) = (in(g)/gcd) f - (in(f)/gcd) g, gcd of the leading monomials."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of a zero polynomial")
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
-    gcd = mono_gcd(mf, mg)
-    return f.mul_term(mono_div(mg, gcd), cg) - g.mul_term(mono_div(mf, gcd), cf)
 
 
 def normal_form(

@@ -45,6 +45,7 @@ class AxisIdealTriple:
 
 
 def axis_generator(letter: str, i: int, sig: Signature, ring: PolyRing) -> Polynomial:
+    """The index-i generator of I^letter; T, P and F are products of these."""
     e = sig[i]
     if letter == "x":
         return ring.var(f"y{i}") - ring.monomial({f"z{i}": 1}, e)
@@ -77,10 +78,11 @@ def generator_T(i: int, j: int, k: int, sig: Signature, ring: PolyRing | None = 
         if not 1 <= idx <= n:
             raise IndexError(f"index {idx} out of range 1..{n}")
     ring = ring if ring is not None else xyz_ring(n)
-    fx = ring.var(f"x{i}") - ring.monomial({f"y{i}": 1}, sig[i])
-    fy = ring.var(f"y{j}") - ring.monomial({f"z{j}": 1}, sig[j])
-    fz = ring.var(f"z{k}") - ring.monomial({f"x{k}": 1}, sig[k])
-    return fx * fy * fz
+    return (
+        axis_generator("z", i, sig, ring)
+        * axis_generator("x", j, sig, ring)
+        * axis_generator("y", k, sig, ring)
+    )
 
 
 def generator_P(i: int, j: int, sig: Signature, ring: PolyRing | None = None) -> Polynomial:
@@ -96,14 +98,9 @@ def generator_P(i: int, j: int, sig: Signature, ring: PolyRing | None = None) ->
         if sig[idx] != 1:
             raise ValueError(f"index {idx} is skew (signature -1); P is undefined")
     ring = ring if ring is not None else xyz_ring(n)
-
-    def g(idx):
-        return ring.var(f"z{idx}") - ring.var(f"x{idx}")
-
-    def h(idx):
-        return ring.var(f"x{idx}") - ring.var(f"y{idx}")
-
-    return g(i) * h(j) - g(j) * h(i)
+    g_i, g_j = (axis_generator("y", idx, sig, ring) for idx in (i, j))  # z - x
+    h_i, h_j = (axis_generator("z", idx, sig, ring) for idx in (i, j))  # x - y
+    return g_i * h_j - g_j * h_i
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ def knutson_F(sig: Signature, ring: PolyRing | None = None) -> Polynomial:
     ring = ring if ring is not None else xyz_ring(sig.n)
     f = ring.one
     for i in range(1, sig.n + 1):
-        f = f * (ring.var(f"x{i}") - ring.monomial({f"y{i}": 1}, sig[i]))
-        f = f * (ring.var(f"y{i}") - ring.monomial({f"z{i}": 1}, sig[i]))
+        f = f * axis_generator("z", i, sig, ring) * axis_generator("x", i, sig, ring)
         f = f * ring.var(f"z{i}")
     return f
 

@@ -119,10 +119,6 @@ class PolyRing:
                 raise ValueError(f"bad exponent tuple {m}")
         return Polynomial(self, clean)
 
-    def mono_dict(self, mono: Exponents) -> dict[str, int]:
-        """Sparse {variable: exponent} view of an exponent tuple."""
-        return {v: e for v, e in zip(self.variables, mono) if e != 0}
-
 
 class Polynomial:
     """Immutable sparse polynomial; equality is exact term-wise equality."""
@@ -146,19 +142,6 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Exponents, Coefficient]]:
         return iter(self._terms.items())
-
-    def coefficient(self, mono: Exponents) -> Coefficient:
-        return self._terms.get(mono, 0)
-
-    def constant_value(self) -> Coefficient:
-        """Value as a constant; raises if the polynomial is not constant."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1:
-            m, c = next(iter(self._terms.items()))
-            if not any(m):
-                return c
-        raise ValueError("polynomial is not constant")
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -264,51 +247,7 @@ class Polynomial:
             n >>= 1
         return result
 
-    def mul_term(self, mono: Exponents, coeff: Coefficient) -> Polynomial:
-        coeff = _as_coeff(coeff)
-        if coeff == 0:
-            return self.ring.zero
-        return Polynomial(
-            self.ring,
-            {
-                tuple(a + b for a, b in zip(m, mono)): _norm(c * coeff)
-                for m, c in self._terms.items()
-            },
-        )
-
     # -- structural maps ----------------------------------------------------
-
-    def substitute(
-        self, assignment: Mapping[str, "Polynomial"], ring: PolyRing | None = None
-    ) -> Polynomial:
-        """Exact composition; variables missing from the map stay themselves."""
-        target = ring
-        if target is None:
-            target = next(iter(assignment.values())).ring if assignment else self.ring
-        images: dict[str, Polynomial] = {}
-        for v in self.support_vars():
-            img = assignment.get(v)
-            if img is None:
-                img = target.var(v)  # identity extension; KeyError if absent
-            elif img.ring != target:
-                raise RingMismatchError("assignment images live in different rings")
-            images[v] = img
-        result = target.zero
-        names = self.ring.variables
-        power_cache: dict[tuple[str, int], Polynomial] = {}
-        for m, c in self._terms.items():
-            term = target.const(c)
-            for v, e in zip(names, m):
-                if not e:
-                    continue
-                key = (v, e)
-                p = power_cache.get(key)
-                if p is None:
-                    p = images[v] ** e
-                    power_cache[key] = p
-                term = term * p
-            result = result + term
-        return result
 
     def rename(self, mapping: Mapping[str, str], ring: PolyRing | None = None) -> Polynomial:
         """Variable renaming (must be injective on the support)."""
@@ -353,26 +292,13 @@ class Polynomial:
 # -- monomial helpers (exponent tuples) --------------------------------------
 
 
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True iff monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """a / b, assuming divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 # -- monomial orders ----------------------------------------------------------
@@ -413,13 +339,6 @@ class MonomialOrder:
         return MonomialOrder(rk, eliminates=elim)
 
 
-def compare_monomials(a: Exponents, b: Exponents, order: MonomialOrder, ring: PolyRing) -> int:
-    """-1, 0 or +1 as a <, =, > b under the order."""
-    key = order.key_for(ring)
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Exponents, Coefficient]:
     """The order-greatest term of a nonzero polynomial."""
     if f.is_zero():
@@ -433,10 +352,3 @@ def sorted_terms(f: Polynomial, order: MonomialOrder) -> list[tuple[Exponents, C
     """Terms in decreasing order."""
     key = order.key_for(f.ring)
     return sorted(f._terms.items(), key=lambda mc: key(mc[0]), reverse=True)
-
-
-def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    if f.is_zero():
-        return f
-    _, c = leading_term(f, order)
-    return f.scale(Fraction(1) / c)

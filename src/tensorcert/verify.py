@@ -48,6 +48,7 @@ from .groebner import (
     membership,
 )
 from .ideals import (
+    axis_generator,
     build_axis_ideals,
     candidate_basis,
     generator_P,
@@ -131,6 +132,11 @@ def _rendered(poly: Polynomial | None, order: MonomialOrder) -> tuple[str, ...]:
     return () if poly is None else (render_polynomial(poly, order),)
 
 
+def _lead(poly: Polynomial, order: MonomialOrder) -> Polynomial:
+    """The leading monomial of a nonzero polynomial."""
+    return poly.ring.from_terms({leading_term(poly, order)[0]: 1})
+
+
 def _seed(case_id: str) -> random.Random:
     return random.Random(f"{SEED_TAG}:{case_id}")
 
@@ -166,9 +172,7 @@ def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
         if len(used) > 3:
             problems.append(render_polynomial(g, basis.order))
             continue
-        lead_mono, _ = leading_term(g, basis.order)
-        lead_poly = g.ring.from_terms({lead_mono: 1})
-        if indices_of(lead_poly) != used:
+        if indices_of(_lead(g, basis.order)) != used:
             problems.append(render_polynomial(g, basis.order))
     return not problems, problems
 
@@ -271,9 +275,8 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
         # leading monomial of the splitting polynomial: the product of all vars
         order_xz = pair_order(("x", "z"), n)
         f_xz = knutson_F(sig, ring)
-        lead, _ = leading_term(f_xz, order_xz)
         expected = ring.monomial({f"{w}{i}": 1 for w in "xyz" for i in range(1, n + 1)})
-        if not case.check("splitting_lead_is_all_vars", ring.from_terms({lead: 1}) == expected):
+        if not case.check("splitting_lead_is_all_vars", _lead(f_xz, order_xz) == expected):
             case.witnesses.append(render_polynomial(f_xz, order_xz))
     return case
 
@@ -282,30 +285,12 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
 
 
 def initial_intersection_closed_form(n: int) -> MonomialIdeal:
-    """<x_i x_j y_k (k <= i,j), x_l y_m (l < m)> as a monomial ideal."""
+    """<x_i x_j y_k (k <= i <= j), x_l y_m (l < m)> as a monomial ideal."""
     ring = xyz_ring(n)
-    monos = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, min(i, j) + 1):
-                m = {f"y{k}": 1}
-                if i == j:
-                    m[f"x{i}"] = 2
-                else:
-                    m[f"x{i}"] = 1
-                    m[f"x{j}"] = 1
-                monos.append(_mono_of(ring, m))
-    for l in range(1, n + 1):
-        for m_idx in range(l + 1, n + 1):
-            monos.append(_mono_of(ring, {f"x{l}": 1, f"y{m_idx}": 1}))
-    return MonomialIdeal.from_monomials(ring, monos)
-
-
-def _mono_of(ring, mapping) -> tuple[int, ...]:
-    exps = [0] * ring.nvars
-    for name, e in mapping.items():
-        exps[ring.index(name)] = e
-    return tuple(exps)
+    x, y = ([ring.var(f"{w}{i}") for i in range(1, n + 1)] for w in "xy")
+    gens = [x[i] * x[j] * y[k] for i in range(n) for j in range(i, n) for k in range(i + 1)]
+    gens += [x[l] * y[m] for l in range(n) for m in range(l + 1, n)]
+    return MonomialIdeal.from_monomials(ring, (mono for g in gens for mono, _ in g.terms()))
 
 
 def squeeze_case(n: int, budget_limit: int) -> CaseResult:
@@ -317,9 +302,7 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
         budget = StepBudget(budget_limit)
         ring = xyz_ring(n)
         order = letter_block_order(n)
-        f = [ring.var(f"y{i}") - ring.var(f"z{i}") for i in range(1, n + 1)]
-        g = [ring.var(f"z{i}") - ring.var(f"x{i}") for i in range(1, n + 1)]
-        h = [ring.var(f"x{i}") - ring.var(f"y{i}") for i in range(1, n + 1)]
+        f, g, h = ([axis_generator(w, i, sig, ring) for i in range(1, n + 1)] for w in "xyz")
         rng = range(n)
         basis_xy = [f[i] * g[j] for i in rng for j in rng]
         basis_xz = [f[i] * h[j] for i in rng for j in rng]
@@ -331,35 +314,26 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
             holds, witness = buchberger_criterion(basis, order, budget)
             case.check(f"{name}_generators_are_groebner", holds, *_rendered(witness, order))
 
-        in_xy = MonomialIdeal.from_monomials(
-            ring, (leading_term(p, order)[0] for p in basis_xy)
-        )
-        in_xz = MonomialIdeal.from_monomials(
-            ring, (leading_term(p, order)[0] for p in basis_xz)
-        )
-        in_yz = MonomialIdeal.from_monomials(
-            ring, (leading_term(p, order)[0] for p in basis_yz)
+        cand = candidate_basis(sig, ring)
+        in_xy, in_xz, in_yz, cand_initial = (
+            initial_ideal(GroebnerBasis(tuple(basis), order))
+            for basis in (basis_xy, basis_xz, basis_yz, cand.members)
         )
         computed = in_xy.intersect(in_xz).intersect(in_yz)
         closed = initial_intersection_closed_form(n)
         if not case.check("intersection_matches_closed_form", computed.equals(closed)):
             case.witnesses.extend(_monomial_witnesses(ring, computed, closed))
 
-        cand = candidate_basis(sig, ring)
-        lead_checks = True
-        for i, j, k in itertools.product(range(1, n + 1), repeat=3):
-            lead, _ = leading_term(generator_T(i, j, k, sig, ring), order)
-            if lead != _mono_of(ring, _merge({f"x{i}": 1}, {f"x{k}": 1}, {f"y{j}": 1})):
-                lead_checks = False
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            lead, _ = leading_term(generator_P(i, j, sig, ring), order)
-            if lead != _mono_of(ring, {f"x{i}": 1, f"y{j}": 1}):
-                lead_checks = False
+        x, y = ([ring.var(f"{w}{i}") for i in range(1, n + 1)] for w in "xy")
+        lead_checks = all(
+            _lead(generator_T(i + 1, j + 1, k + 1, sig, ring), order) == x[i] * x[k] * y[j]
+            for i, j, k in itertools.product(rng, repeat=3)
+        ) and all(
+            _lead(generator_P(i + 1, j + 1, sig, ring), order) == x[i] * y[j]
+            for i, j in itertools.combinations(rng, 2)
+        )
         case.check("candidate_lead_terms_as_predicted", lead_checks)
 
-        cand_initial = MonomialIdeal.from_monomials(
-            ring, (leading_term(p, order)[0] for p in cand.members)
-        )
         squeeze_match = cand_initial.equals(computed)
         if not case.check("candidate_initial_ideal_matches_intersection", squeeze_match):
             case.witnesses.extend(_monomial_witnesses(ring, cand_initial, computed))
@@ -374,14 +348,6 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
             *_rendered(witness, order),
         )
     return case
-
-
-def _merge(*dicts) -> dict:
-    out: dict = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
 
 
 def _monomial_witnesses(ring, left: MonomialIdeal, right: MonomialIdeal) -> list[str]:

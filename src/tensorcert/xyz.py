@@ -1,16 +1,17 @@
-"""The 3N-variable ring R[x_1..x_N, y_1..y_N, z_1..z_N] and its symmetries.
+"""The 3N-variable ring R[x_1..x_N, y_1..y_N, z_1..z_N].
 
-Variables are named ``x1 .. xN, y1 .. yN, zN`` plus the auxiliary ``t`` used
-by elimination; ``t`` is an ordinary variable that happens to outrank the rest
-in elimination orders.  This module owns the ring layout, so the split of a
-monomial into its exponent vectors x^I y^J z^K lives here (``split_terms``).
+Variables are named ``x1 .. xN, y1 .. yN, z1 .. zN`` plus the auxiliary
+``t`` used by elimination; ``t`` is an ordinary variable that happens to
+outrank the rest in elimination orders.  This module owns the ring layout, so
+the split of a monomial into its exponent vectors x^I y^J z^K lives here
+(``split_terms``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .poly import Coefficient, Exponents, MonomialOrder, Polynomial, PolyRing
 
@@ -179,87 +180,3 @@ def order_from_spec(spec: str, n: int) -> MonomialOrder:
         elim = "t" if names and names[0] == "t" else None
         return MonomialOrder(names, eliminates=elim)
     raise ValueError(f"unknown order spec {spec!r}")
-
-
-# -- multigrading -------------------------------------------------------------
-
-
-def multidegree(ring: PolyRing, mono) -> tuple[int, ...]:
-    """Componentwise I+J+K of a monomial x^I y^J z^K."""
-    n = ring_size(ring)
-    deg = [0] * n
-    for name, e in zip(ring.variables, mono):
-        if not e:
-            continue
-        letter, i = split_name(name)
-        if letter == "t":
-            raise ValueError("monomial involves t; multidegree undefined")
-        deg[i - 1] += e
-    return tuple(deg)
-
-
-def multidegree_components(f: Polynomial) -> dict[tuple[int, ...], Polynomial]:
-    """Split f into its multi-homogeneous components; rejects t in the support."""
-    if uses_t(f):
-        raise ValueError("multidegree components undefined for t-dependent polynomials")
-    buckets: dict[tuple[int, ...], dict] = {}
-    for m, c in f.terms():
-        buckets.setdefault(multidegree(f.ring, m), {})[m] = c
-    return {d: f.ring.from_terms(t) for d, t in sorted(buckets.items())}
-
-
-# -- S3 and index actions -----------------------------------------------------
-
-S3_PERMUTATIONS: dict[str, dict[str, str]] = {
-    "e": {"x": "x", "y": "y", "z": "z"},
-    "(12)": {"x": "y", "y": "x", "z": "z"},
-    "(13)": {"x": "z", "y": "y", "z": "x"},
-    "(23)": {"x": "x", "y": "z", "z": "y"},
-    "(123)": {"x": "y", "y": "z", "z": "x"},
-    "(132)": {"x": "z", "y": "x", "z": "y"},
-}
-
-
-def compose_s3(first: Mapping[str, str], then: Mapping[str, str]) -> dict[str, str]:
-    """Apply ``first``, then ``then``."""
-    return {w: then[first[w]] for w in LETTERS}
-
-
-def apply_s3(f: Polynomial, sigma: Mapping[str, str]) -> Polynomial:
-    """Letter-wise renaming x_i -> sigma(x)_i for every index i."""
-    if uses_t(f):
-        raise ValueError("S3 action undefined on t-dependent polynomials")
-    if sorted(sigma.values()) != list(LETTERS):
-        raise ValueError("sigma must permute x, y, z")
-    mapping = {}
-    n = ring_size(f.ring)
-    for w in LETTERS:
-        for i in range(1, n + 1):
-            mapping[f"{w}{i}"] = f"{sigma[w]}{i}"
-    return f.rename(mapping)
-
-
-def apply_index_map(
-    f: Polynomial, rho: Mapping[int, int], target_ring: PolyRing | None = None
-) -> Polynomial:
-    """Rename (x_i, y_i, z_i) -> (x_rho(i), y_rho(i), z_rho(i)) simultaneously."""
-    if len(set(rho.values())) != len(rho):
-        raise ValueError("index map must be injective")
-    used = indices_of(f)
-    missing = used - set(rho)
-    if missing:
-        raise ValueError(f"indices {sorted(missing)} not in the map's domain")
-    target = target_ring if target_ring is not None else f.ring
-    mapping = {}
-    for i, j in rho.items():
-        for w in LETTERS:
-            mapping[f"{w}{i}"] = f"{w}{j}"
-    return f.rename({k: v for k, v in mapping.items()}, ring=target)
-
-
-def transport_signature(sig: Signature, rho: Mapping[int, int], n_target: int) -> Signature:
-    """Signature with entry rho(i) equal to sig's entry i (+1 elsewhere)."""
-    entries = [1] * n_target
-    for i, j in rho.items():
-        entries[j - 1] = sig[i]
-    return Signature(tuple(entries))

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from tensorcert.poly import PolyRing
-from tensorcert.xyz import Signature, xyz_ring
+from tensorcert.chart import Chart, GeneralizedSection
+from tensorcert.poly import MonomialOrder, Polynomial, PolyRing, leading_term
+from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
 
 
 def coefficients():
@@ -56,3 +57,66 @@ def ring2() -> PolyRing:
 
 def all_signatures(n: int) -> list[Signature]:
     return Signature.sweep(n)
+
+
+# -- test-side references for maps the package does not need ------------------
+
+
+def substitute(f: Polynomial, assignment: dict, ring: PolyRing | None = None) -> Polynomial:
+    """Exact composition f(v -> assignment[v]); unmapped variables stay themselves."""
+    if ring is None:
+        ring = next(iter(assignment.values())).ring if assignment else f.ring
+    out = ring.zero
+    for mono, c in f.terms():
+        term = ring.const(c)
+        for v, e in zip(f.ring.variables, mono):
+            if e:
+                term = term * (assignment[v] if v in assignment else ring.var(v)) ** e
+        out = out + term
+    return out
+
+
+def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
+    """f scaled to leading coefficient 1."""
+    return f if f.is_zero() else f.scale(Fraction(1) / leading_term(f, order)[1])
+
+
+# the letter permutations of S3, by cycle
+S3 = {
+    "e": {"x": "x", "y": "y", "z": "z"},
+    "(12)": {"x": "y", "y": "x", "z": "z"},
+    "(13)": {"x": "z", "y": "y", "z": "x"},
+    "(23)": {"x": "x", "y": "z", "z": "y"},
+    "(123)": {"x": "y", "y": "z", "z": "x"},
+    "(132)": {"x": "z", "y": "x", "z": "y"},
+}
+
+
+def permute_letters(f: Polynomial, sigma: dict) -> Polynomial:
+    """The letter-wise rename x_i -> sigma(x)_i, for every index i."""
+    n = ring_size(f.ring)
+    return f.rename({f"{w}{i}": f"{sigma[w]}{i}" for w in LETTERS for i in range(1, n + 1)})
+
+
+def relabel_indices(f: Polynomial, rho: dict, ring: PolyRing | None = None) -> Polynomial:
+    """(x_i, y_i, z_i) -> (x_rho(i), y_rho(i), z_rho(i)), simultaneously."""
+    return f.rename({f"{w}{i}": f"{w}{j}" for i, j in rho.items() for w in LETTERS}, ring=ring)
+
+
+def multidegree_components(f: Polynomial) -> dict[tuple[int, ...], Polynomial]:
+    """f's multi-homogeneous parts, keyed by the index-wise degree I + J + K.
+
+    On a t-free xyz ring a monomial's exponent tuple is I + J + K.
+    """
+    parts: dict[tuple[int, ...], dict] = {}
+    for I, J, K, c in split_terms(f):
+        parts.setdefault(tuple(map(sum, zip(I, J, K))), {})[I + J + K] = c
+    return {degree: f.ring.from_terms(terms) for degree, terms in sorted(parts.items())}
+
+
+def exact_form(f: Polynomial, chart: Chart) -> GeneralizedSection:
+    """The section df."""
+    zeros = (chart.ring.zero,) * chart.dim
+    return GeneralizedSection(
+        chart, zeros, tuple(f.derivative(f"u{i}") for i in range(1, chart.dim + 1))
+    )

@@ -17,12 +17,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded
-from tensorcert.chart import CommutingFamily
+from conftest import exact_form, monic, seeded
+from tensorcert.chart import CommutingFamily, GeneralizedSection
 from tensorcert.courant import (
     courant_bracket,
     courant_element,
-    differential,
     inner_product,
     polynomial_action,
     tensor_P,
@@ -39,9 +38,7 @@ from tensorcert.ideals import (
     is_universally_tensorial_linear,
     vanishes_on_variety,
 )
-from tensorcert.chart import GeneralizedSection
 from tensorcert.parse import parse_polynomial
-from tensorcert.poly import monic
 from tensorcert.verify import (
     gen_set_case,
     knutson_case,
@@ -307,9 +304,7 @@ def test_courant_algebroid_axioms():
             assert courant_bracket(a, b.scale(f)) == courant_bracket(a, b).scale(
                 f
             ) + b.scale(vector_apply(a.vector, f, chart))
-            df = GeneralizedSection(
-                chart, (chart.ring.zero,) * chart.dim, differential(f, chart)
-            )
+            df = exact_form(f, chart)
             assert courant_bracket(a.scale(f), b) == courant_bracket(a, b).scale(
                 f
             ) - a.scale(vector_apply(b.vector, f, chart)) + df.scale(

@@ -1,5 +1,9 @@
 """Fixture-fleet coverage."""
 
+from fractions import Fraction
+
+from tensorcert import fleet
+from tensorcert.chart import Endomorphism
 from tensorcert.fleet import build_fleet
 
 
@@ -16,3 +20,74 @@ def test_fleet_size_and_chart_coverage():
 def test_names_are_unique():
     names = [e.name for e in build_fleet()]
     assert len(names) == len(set(names))
+
+
+# -- the explicit 2n x 2n layouts the block builders replaced, kept as a reference --
+
+
+def _explicit_diag_vv(chart, diag, sym):
+    n = chart.dim
+    z = chart.ring.zero
+    rows = []
+    for i in range(n):
+        row = [z] * 2 * n
+        row[i] = chart.ring.const(diag[i])
+        rows.append(row)
+    for i in range(n):
+        row = [z] * 2 * n
+        row[n + i] = chart.ring.const(diag[i] if sym else -diag[i])
+        rows.append(row)
+    return Endomorphism(chart, rows)
+
+
+def _explicit_form_valued(chart, c_matrix):
+    n = chart.dim
+    rows = [[chart.ring.zero] * 2 * n for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            rows[n + i][j] = c_matrix[i][j]
+    return Endomorphism(chart, rows)
+
+
+def _explicit_vector_valued(chart, b_matrix):
+    n = chart.dim
+    rows = [[chart.ring.zero] * 2 * n for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][n + j] = b_matrix[i][j]
+    return Endomorphism(chart, rows)
+
+
+def _explicit_metric(chart, diag):
+    n = chart.dim
+    rows = [[chart.ring.zero] * 2 * n for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][n + i] = chart.ring.const(Fraction(1, 1) / Fraction(diag[i]))
+        rows[n + i][i] = chart.ring.const(diag[i])
+    return Endomorphism(chart, rows)
+
+
+def _explicit_kahler_structures(chart):
+    o, z = chart.ring.one, chart.ring.zero
+    j0 = [[z, -o], [o, z]]
+    jc = Endomorphism.from_blocks(chart, j0, [[z, z], [z, z]], [[z, z], [z, z]], j0)
+    jw = Endomorphism.from_blocks(chart, [[z, z], [z, z]], j0, j0, [[z, z], [z, z]])
+    return jc, jw, jc.compose(jw)
+
+
+def test_block_builders_match_explicit_layout(monkeypatch):
+    built = build_fleet()
+    for name in ("_diag_vv", "_form_valued", "_vector_valued", "_metric", "_kahler_structures"):
+        monkeypatch.setattr(fleet, name, globals()[f"_explicit{name}"])
+    explicit = build_fleet()
+    assert len(built) == len(explicit) == 27
+    for new, old in zip(built, explicit):
+        assert new.name == old.name and new.family.signature == old.family.signature
+        assert new.family.n == old.family.n
+        for pos, (m_new, m_old) in enumerate(zip(new.family.members, old.family.members)):
+            size = 2 * m_old.chart.dim
+            assert m_new.chart == m_old.chart
+            assert len(m_new.rows) == size
+            for r in range(size):
+                for c in range(size):
+                    assert m_new.rows[r][c] == m_old.rows[r][c], (new.name, pos, r, c)

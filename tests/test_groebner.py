@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_polynomials, polynomials, seeded
+from conftest import monic, nonzero_polynomials, polynomials, seeded
 from tensorcert import groebner
 from tensorcert.groebner import (
     BudgetExceededError,
@@ -25,11 +25,10 @@ from tensorcert.groebner import (
     membership,
     normal_form,
     reduce_basis,
-    s_polynomial,
 )
 from tensorcert.ideals import intersect_pair
 from tensorcert.parse import parse_polynomial
-from tensorcert.poly import MonomialOrder, leading_term, mono_divides, monic
+from tensorcert.poly import MonomialOrder, leading_term, mono_divides
 from tensorcert.xyz import elimination_order, letter_block_order, xyz_ring
 
 R1 = xyz_ring(1)
@@ -42,6 +41,13 @@ def p(text, ring=R1):
 
 def pres(texts, order=LEX, ring=R1):
     return IdealPresentation(tuple(p(t, ring) for t in texts), order)
+
+
+def s_polynomial(f, g, order):
+    """The engine's own S-polynomial of two divisors, back in ring coordinates."""
+    positions, _, packed = GroebnerBasis((f, g), order)._divisors
+    s = groebner._s_poly_aligned(*packed, len(positions))
+    return groebner._unalign(s, positions, f.ring)
 
 
 class TestSPolynomial:

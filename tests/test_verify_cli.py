@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import S3, monic, multidegree_components, permute_letters
 from tensorcert.cli import main, run_suite
 from tensorcert.groebner import DEFAULT_STEP_BUDGET
 from tensorcert.report import CertReport, emit_report
@@ -82,13 +83,12 @@ class TestVerifiers:
         # the intersection is S3-invariant and split by the multigrading
         from tensorcert.groebner import membership
         from tensorcert.verify import tensorial_ideal_basis
-        from tensorcert.xyz import S3_PERMUTATIONS, apply_s3, multidegree_components
 
         for sig in (Signature((1,)), Signature((1, -1))):
             basis = tensorial_ideal_basis(sig)
             for g in basis.elements:
-                for name, sigma in S3_PERMUTATIONS.items():
-                    assert membership(apply_s3(g, sigma), basis), (sig, name, g)
+                for name, sigma in S3.items():
+                    assert membership(permute_letters(g, sigma), basis), (sig, name, g)
                 for component in multidegree_components(g).values():
                     assert membership(component, basis), (sig, component)
 
@@ -320,6 +320,13 @@ class TestCli:
         assert data["summary"]["total"] == 1
         assert data["cases"][0]["case_id"] == "gen-set/N1/-"
 
+    def test_repeated_signature_runs_once(self, capsys):
+        argv = ["certify", "--suite", "knutson", "--n", "1", "--sig", "+", "--sig", "+"]
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [case["case_id"] for case in data["cases"]] == ["knutson/N1/+"]
+        assert data["signatures"] == "+"
+
     def test_bad_signature_is_config_error(self, capsys):
         assert main(["certify", "--suite", "gen-set", "--n", "1", "--sig", "+?"]) == 3
 
@@ -438,7 +445,6 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out.strip()
         from tensorcert.parse import parse_polynomial
-        from tensorcert.poly import monic
         from tensorcert.xyz import letter_block_order, xyz_ring
 
         ring = xyz_ring(1)
