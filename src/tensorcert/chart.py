@@ -2,7 +2,9 @@
 
 Scalars are exact-rational polynomials in the chart coordinates u_1..u_n;
 sections are vector-field + one-form pairs; endomorphisms are 2n x 2n scalar
-matrices acting on stacked (vector, form) components.
+matrices acting on stacked (vector, form) components.  Every component must
+live in the chart's ring, which is checked once at construction, so matrix
+products and applications sum their products with the ``poly.dot`` kernel.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, dot
 from .xyz import Signature
 
 _chart_ring_cache: dict[int, PolyRing] = {}
@@ -42,23 +44,6 @@ class Chart:
     def scalar(self, value) -> Polynomial:
         return self.ring.const(value)
 
-    def basis_vector(self, i: int) -> "GeneralizedSection":
-        """The coordinate vector field in slot i (1-based)."""
-        parts = [self.ring.zero] * self.dim
-        parts[i - 1] = self.ring.one
-        return GeneralizedSection(self, tuple(parts), (self.ring.zero,) * self.dim)
-
-    def basis_form(self, i: int) -> "GeneralizedSection":
-        """The coordinate one-form du_i."""
-        parts = [self.ring.zero] * self.dim
-        parts[i - 1] = self.ring.one
-        return GeneralizedSection(self, (self.ring.zero,) * self.dim, tuple(parts))
-
-    def basis_sections(self) -> list["GeneralizedSection"]:
-        return [self.basis_vector(i) for i in range(1, self.dim + 1)] + [
-            self.basis_form(i) for i in range(1, self.dim + 1)
-        ]
-
 
 class ChartMismatchError(ValueError):
     """Operands live over different charts."""
@@ -67,6 +52,13 @@ class ChartMismatchError(ValueError):
 def _check_chart(a, b) -> None:
     if a.chart != b.chart:
         raise ChartMismatchError(f"{a.chart} vs {b.chart}")
+
+
+def _check_ring(chart: Chart, components: Iterable[Polynomial]) -> None:
+    ring = chart.ring
+    for p in components:
+        if p.ring is not ring and p.ring != ring:
+            raise ChartMismatchError(f"a component in {p.ring!r} over {chart}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +73,7 @@ class GeneralizedSection:
         n = self.chart.dim
         if len(self.vector) != n or len(self.form) != n:
             raise ValueError("component count does not match the chart dimension")
+        _check_ring(self.chart, self.vector + self.form)
 
     def components(self) -> tuple[Polynomial, ...]:
         return self.vector + self.form
@@ -116,15 +109,19 @@ class GeneralizedSection:
 class Endomorphism:
     """A 2n x 2n scalar matrix acting on (vector, form) stacked columns."""
 
-    __slots__ = ("chart", "rows")
+    __slots__ = ("chart", "rows", "_nonzero")
 
     def __init__(self, chart: Chart, rows: Sequence[Sequence[Polynomial]]):
         size = 2 * chart.dim
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError(f"matrix must be {size}x{size}")
+        for r in rows:
+            _check_ring(chart, r)
         self.chart = chart
         self.rows = rows
+        # per row, the (column, entry) pairs with a nonzero entry
+        self._nonzero = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
 
     @classmethod
     def from_blocks(cls, chart: Chart, a, b, c, d) -> "Endomorphism":
@@ -162,25 +159,19 @@ class Endomorphism:
     def apply(self, section: GeneralizedSection) -> GeneralizedSection:
         _check_chart(self, section)
         comps = section.components()
-        out = []
-        for row in self.rows:
-            acc = self.chart.ring.zero
-            for entry, comp in zip(row, comps):
-                if not entry.is_zero() and not comp.is_zero():
-                    acc = acc + entry * comp
-            out.append(acc)
+        ring = self.chart.ring
+        out = [dot(ring, ((e, comps[j]) for j, e in row)) for row in self._nonzero]
         n = self.chart.dim
         return GeneralizedSection(self.chart, tuple(out[:n]), tuple(out[n:]))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Matrix product; (self.compose(other))(s) == self(other(s))."""
         _check_chart(self, other)
-        size = 2 * self.chart.dim
-        zero = self.chart.ring.zero
-        cols = list(zip(*other.rows))
+        ring = self.chart.ring
+        cols = range(2 * self.chart.dim)
         rows = [
-            tuple(sum((a * b for a, b in zip(row, col) if not a.is_zero()), zero) for col in cols)
-            for row in self.rows
+            [dot(ring, ((e, other.rows[j][c]) for j, e in row)) for c in cols]
+            for row in self._nonzero
         ]
         return Endomorphism(self.chart, rows)
 

@@ -9,16 +9,25 @@ the x/y/z ring acts on forms by inserting endomorphism powers into the three
 slots; tensoriality of (P, phi) means the resulting form is function-linear.
 That is decided pointwise from the anchor identities of the bracket, so the
 check needs no bracket and no derivative (``tensoriality_check``).
+
+Every sum of products here is one call of the multiply-accumulate kernel
+``poly.dot``.  The bridge identities ask for the same bracket several times
+per sample (a semiconcomitant and the polynomial action both need
+[[phi^I a, phi^J b]]), so ``semiconcomitant`` and ``courant_element`` reach
+``courant_bracket`` through ``cached_bracket``: a value-keyed memo of at most
+``BRACKET_MEMO_SIZE`` entries.  Sections are frozen and polynomials immutable,
+so a remembered bracket is the exact bracket.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from typing import Callable
 
 from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, _check_chart
-from .poly import Polynomial
+from .poly import Polynomial, dot
 from .xyz import ring_size, split_terms, uses_t
 
 Vector = tuple[Polynomial, ...]
@@ -28,11 +37,9 @@ Trilinear = Callable[[GeneralizedSection, GeneralizedSection, GeneralizedSection
 
 def vector_apply(x: Vector, f: Polynomial, chart: Chart) -> Polynomial:
     """X(f) = sum X_j df/du_j."""
-    acc = chart.ring.zero
-    for j, comp in enumerate(x, start=1):
-        if not comp.is_zero():
-            acc = acc + comp * f.derivative(f"u{j}")
-    return acc
+    return dot(
+        chart.ring, ((comp, f.derivative(f"u{j}")) for j, comp in enumerate(x, start=1) if comp)
+    )
 
 
 def lie_bracket(x: Vector, y: Vector, chart: Chart) -> Vector:
@@ -45,12 +52,13 @@ def lie_bracket(x: Vector, y: Vector, chart: Chart) -> Vector:
 def inner_product(a: GeneralizedSection, b: GeneralizedSection) -> Polynomial:
     """The tautological pairing (alpha(Y) + beta(X)) / 2."""
     _check_chart(a, b)
-    acc = a.chart.ring.zero
-    for alpha_i, y_i in zip(a.form, b.vector):
-        acc = acc + alpha_i * y_i
-    for beta_i, x_i in zip(b.form, a.vector):
-        acc = acc + beta_i * x_i
-    return acc.scale(Fraction(1, 2))
+    pairs = chain(zip(a.form, b.vector), zip(b.form, a.vector))
+    return dot(a.chart.ring, pairs).scale(Fraction(1, 2))
+
+
+def _jacobian(comps: Vector, dim: int) -> list[list[Polynomial]]:
+    """d[j][i] = d comps_j / du_i."""
+    return [[p.derivative(f"u{i}") for i in range(1, dim + 1)] for p in comps]
 
 
 def courant_bracket(a: GeneralizedSection, b: GeneralizedSection) -> GeneralizedSection:
@@ -60,28 +68,49 @@ def courant_bracket(a: GeneralizedSection, b: GeneralizedSection) -> Generalized
     x, alpha = a.vector, a.form
     y, beta = b.vector, b.form
     vec = lie_bracket(x, y, chart)
-    form = []
-    for i in range(1, chart.dim + 1):
-        acc = chart.ring.zero
-        for j in range(1, chart.dim + 1):
-            xj, yj = x[j - 1], y[j - 1]
-            # (L_X beta)_i = X_j d_j beta_i + beta_j d_i X_j
-            if not xj.is_zero():
-                acc = acc + xj * beta[i - 1].derivative(f"u{j}")
-            if not beta[j - 1].is_zero():
-                acc = acc + beta[j - 1] * xj.derivative(f"u{i}")
-            # (i_Y d alpha)_i = Y_j (d_j alpha_i - d_i alpha_j)
-            if not yj.is_zero():
-                acc = acc - yj * (
-                    alpha[i - 1].derivative(f"u{j}") - alpha[j - 1].derivative(f"u{i}")
+    n = chart.dim
+    dx, dalpha, dbeta = _jacobian(x, n), _jacobian(alpha, n), _jacobian(beta, n)
+    neg_y = [-yj for yj in y]
+    # (L_X beta)_i = X_j d_j beta_i + beta_j d_i X_j
+    # (i_Y d alpha)_i = Y_j (d_j alpha_i - d_i alpha_j)
+    form = tuple(
+        dot(
+            chart.ring,
+            (
+                pair
+                for j in range(n)
+                for pair in (
+                    (x[j], dbeta[i][j]),
+                    (beta[j], dx[j][i]),
+                    (neg_y[j], dalpha[i][j]),
+                    (y[j], dalpha[j][i]),
                 )
-        form.append(acc)
-    return GeneralizedSection(chart, vec, tuple(form))
+            ),
+        )
+        for i in range(n)
+    )
+    return GeneralizedSection(chart, vec, form)
+
+
+BRACKET_MEMO_SIZE = 64  # distinct brackets of one bridge sample fit several times over
+_bracket_memo: dict[tuple[GeneralizedSection, GeneralizedSection], GeneralizedSection] = {}
+
+
+def cached_bracket(a: GeneralizedSection, b: GeneralizedSection) -> GeneralizedSection:
+    """courant_bracket(a, b), remembered by value; the oldest entry goes first."""
+    key = (a, b)
+    value = _bracket_memo.get(key)
+    if value is None:
+        value = courant_bracket(a, b)
+        if len(_bracket_memo) >= BRACKET_MEMO_SIZE:
+            del _bracket_memo[next(iter(_bracket_memo))]
+        _bracket_memo[key] = value
+    return value
 
 
 def courant_element(chart: Chart) -> Trilinear:
     """tau_C(a, b, c) = <[[a, b]], c>."""
-    return lambda a, b, c: inner_product(courant_bracket(a, b), c)
+    return lambda a, b, c: inner_product(cached_bracket(a, b), c)
 
 
 def polynomial_action(
@@ -93,27 +122,19 @@ def polynomial_action(
     n = ring_size(poly.ring)
     if n != family.n:
         raise ValueError(f"polynomial has {n} indices but the family has {family.n}")
-    terms = split_terms(poly)
+    ring = family.chart.ring
+    terms = [(I, J, K, ring.const(coeff)) for I, J, K, coeff in split_terms(poly)]
+    # the exponents each slot needs, so phi^I a is applied once per evaluation
+    slot_exponents = [{term[slot] for term in terms} for slot in range(3)]
 
     def ev(a, b, c):
-        acc = family.chart.ring.zero
-        for I, J, K, coeff in terms:
-            value = tau(
-                family.power_endo(I).apply(a),
-                family.power_endo(J).apply(b),
-                family.power_endo(K).apply(c),
-            )
-            acc = acc + value.scale(coeff)
-        return acc
+        pa, pb, pc = (
+            {e: family.power_endo(e).apply(section) for e in exponents}
+            for exponents, section in zip(slot_exponents, (a, b, c))
+        )
+        return dot(ring, ((tau(pa[I], pb[J], pc[K]), coeff) for I, J, K, coeff in terms))
 
     return ev
-
-
-def _add_scaled(
-    acc: GeneralizedSection, f: Polynomial, section: GeneralizedSection
-) -> GeneralizedSection:
-    """acc + f section, skipping the zero multiples that basis sections make common."""
-    return acc if f.is_zero() else acc + section.scale(f)
 
 
 def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
@@ -132,6 +153,14 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
 
         sum c e^K phi^K (2 <phi^I a, phi^J b> du_i - (phi^J b)_i phi^I a),
         sum c e^K phi^K ((phi^I a)_i phi^J b).
+
+    With M = sum c e^K phi^K per part (I, J), L = phi^I, R = phi^J and the
+    pairing matrix G_ab = 2 <L e_a, R e_b>, component r of the two defects
+    at basis sections e_a, e_b is
+
+        sum over parts of G_ab M_r,n+i - R_ib (ML)_ra   and   L_ia (MR)_rb,
+
+    so each is one ``dot`` over the parts, of matrices computed once per part.
     """
     if uses_t(poly):
         raise ValueError("the action is defined on the t-free ring")
@@ -140,33 +169,39 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
             f"polynomial has {ring_size(poly.ring)} indices but the family has {family.n}"
         )
     chart, sig = family.chart, family.signature
+    ring, n = chart.ring, chart.dim
+    size = range(2 * n)
     # the outer endomorphism sum_K c e^K phi^K, per (I, J)
     outer: dict[tuple, Endomorphism] = {}
     for I, J, K, coeff in split_terms(poly):
         sign = prod(sig[k] for k, e in enumerate(K, start=1) if e % 2)
         term = family.power_endo(K).scale(coeff * sign)
         outer[I, J] = outer[I, J] + term if (I, J) in outer else term
-    basis = chart.basis_sections()
-    forms = basis[chart.dim :]
-    parts = []  # phi^I a, phi^J b, and the outer endomorphism of those and of du_i
+    parts = []  # G, M, ML, MR, L and -R (vector rows only) of each (I, J) part
     for (I, J), m in outer.items():
-        left = [family.power_endo(I).apply(s) for s in basis]
-        right = [family.power_endo(J).apply(s) for s in basis]
-        m_left, m_right = [m.apply(s) for s in left], [m.apply(s) for s in right]
-        parts.append((left, right, m_left, m_right, [m.apply(s) for s in forms]))
-    zero = GeneralizedSection(chart, (chart.ring.zero,) * chart.dim, (chart.ring.zero,) * chart.dim)
-    for ia in range(len(basis)):
-        for ib in range(len(basis)):
-            pairings = [2 * inner_product(left[ia], right[ib]) for left, right, *_ in parts]
-            for i in range(chart.dim):
-                # the first defect is pairing_part - anchor_part
-                pairing_part = anchor_part = second = zero
-                for (left, right, m_left, m_right, m_du), pairing in zip(parts, pairings):
-                    pairing_part = _add_scaled(pairing_part, pairing, m_du[i])
-                    anchor_part = _add_scaled(anchor_part, right[ib].vector[i], m_left[ia])
-                    second = _add_scaled(second, left[ia].vector[i], m_right[ib])
-                if pairing_part != anchor_part or not second.is_zero():
-                    return False
+        left, right = family.power_endo(I), family.power_endo(J)
+        L, R = left.rows, right.rows
+        # 2 <s, t> pairs each component of s with the opposite block's one of t
+        pairing = [
+            [dot(ring, ((L[(k + n) % (2 * n)][a], R[k][b]) for k in size)) for b in size]
+            for a in size
+        ]
+        neg_r = [[-e for e in R[i]] for i in range(n)]
+        parts.append((pairing, m.rows, m.compose(left).rows, m.compose(right).rows, L, neg_r))
+    for a in size:
+        for b in size:
+            for i in range(n):
+                for r in size:
+                    first = dot(
+                        ring,
+                        chain.from_iterable(
+                            ((G[a][b], M[r][n + i]), (neg_r[i][b], ML[r][a]))
+                            for G, M, ML, _, _, neg_r in parts
+                        ),
+                    )
+                    second = dot(ring, ((L[i][a], MR[r][b]) for _, _, _, MR, L, _ in parts))
+                    if first or second:
+                        return False
     return True
 
 
@@ -179,11 +214,12 @@ def semiconcomitant(
     """K_(p1,p2)(a,b) =
     [[p1 a, p2 b]] - p1 [[a, p2 b]] - p2 [[p1 a, b]] + p1 p2 [[a, b]]
     for two members of a validated commuting family."""
+    p1_a, p2_b = p1.apply(a), p2.apply(b)
     return (
-        courant_bracket(p1.apply(a), p2.apply(b))
-        - p1.apply(courant_bracket(a, p2.apply(b)))
-        - p2.apply(courant_bracket(p1.apply(a), b))
-        + p1.apply(p2.apply(courant_bracket(a, b)))
+        cached_bracket(p1_a, p2_b)
+        - p1.apply(cached_bracket(a, p2_b))
+        - p2.apply(cached_bracket(p1_a, b))
+        + p1.apply(p2.apply(cached_bracket(a, b)))
     )
 
 

@@ -289,6 +289,39 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
 
+# -- fused multiply-accumulate -------------------------------------------------
+
+
+def dot(ring: PolyRing, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum p * q over the pairs, accumulated into one term dict.
+
+    Every operand must already live in ``ring``; there is no per-product ring
+    check.  A constant operand (the common case for endomorphism entries)
+    scales the other one's terms without forming monomial sums.
+    """
+    unit = ring._unit_mono
+    acc: dict[Exponents, Coefficient] = {}
+    get = acc.get
+    for p, q in pairs:
+        pt, qt = p._terms, q._terms
+        if not pt or not qt:
+            continue
+        if len(qt) == 1 and unit in qt:
+            pt, qt = qt, pt
+        if len(pt) == 1 and unit in pt:
+            c = pt[unit]
+            for m, k in qt.items():
+                a = get(m)
+                acc[m] = c * k if a is None else a + c * k
+            continue
+        for ma, ca in pt.items():
+            for mb, cb in qt.items():
+                m = tuple(map(add, ma, mb))
+                a = get(m)
+                acc[m] = ca * cb if a is None else a + ca * cb
+    return Polynomial(ring, {m: _norm(c) for m, c in acc.items() if c})
+
+
 # -- monomial helpers (exponent tuples) --------------------------------------
 
 

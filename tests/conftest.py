@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from tensorcert.chart import Chart, GeneralizedSection
+from tensorcert.chart import Chart, Endomorphism, GeneralizedSection
 from tensorcert.poly import MonomialOrder, Polynomial, PolyRing, leading_term
 from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
 
@@ -112,6 +112,48 @@ def multidegree_components(f: Polynomial) -> dict[tuple[int, ...], Polynomial]:
     for I, J, K, c in split_terms(f):
         parts.setdefault(tuple(map(sum, zip(I, J, K))), {})[I + J + K] = c
     return {degree: f.ring.from_terms(terms) for degree, terms in sorted(parts.items())}
+
+
+def reference_apply(endo: Endomorphism, section: GeneralizedSection) -> GeneralizedSection:
+    """phi(s) row by column, adding one product at a time."""
+    chart = section.chart
+    out = []
+    for row in endo.rows:
+        acc = chart.ring.zero
+        for entry, comp in zip(row, section.components()):
+            acc = acc + entry * comp
+        out.append(acc)
+    return GeneralizedSection(chart, tuple(out[: chart.dim]), tuple(out[chart.dim :]))
+
+
+def reference_compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
+    """The matrix product phi psi, row by column, one product at a time."""
+    size = range(2 * phi.chart.dim)
+    zero = phi.chart.ring.zero
+    return Endomorphism(
+        phi.chart,
+        [[sum((row[k] * psi.rows[k][c] for k in size), zero) for c in size] for row in phi.rows],
+    )
+
+
+def basis_vector(chart: Chart, i: int) -> GeneralizedSection:
+    """The coordinate vector field in slot i (1-based)."""
+    parts = [chart.ring.zero] * chart.dim
+    parts[i - 1] = chart.ring.one
+    return GeneralizedSection(chart, tuple(parts), (chart.ring.zero,) * chart.dim)
+
+
+def basis_form(chart: Chart, i: int) -> GeneralizedSection:
+    """The coordinate one-form du_i."""
+    parts = [chart.ring.zero] * chart.dim
+    parts[i - 1] = chart.ring.one
+    return GeneralizedSection(chart, (chart.ring.zero,) * chart.dim, tuple(parts))
+
+
+def basis_sections(chart: Chart) -> list[GeneralizedSection]:
+    return [basis_vector(chart, i) for i in range(1, chart.dim + 1)] + [
+        basis_form(chart, i) for i in range(1, chart.dim + 1)
+    ]
 
 
 def exact_form(f: Polynomial, chart: Chart) -> GeneralizedSection:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded
+from conftest import basis_sections, basis_vector, reference_apply, reference_compose, seeded
 from tensorcert.chart import (
     Chart,
     ChartMismatchError,
@@ -12,9 +12,11 @@ from tensorcert.chart import (
     Endomorphism,
     FamilyValidationError,
     GeneralizedSection,
+    chart_ring,
 )
 from tensorcert.courant import inner_product
 from tensorcert.fleet import build_fleet
+from tensorcert.verify import random_section as fleet_section
 from tensorcert.xyz import Signature
 
 
@@ -45,7 +47,7 @@ def random_endo(rng, chart):
 class TestSections:
     def test_module_structure(self):
         chart = Chart(2)
-        a = chart.basis_vector(1)
+        a = basis_vector(chart, 1)
         u1 = chart.coordinate(1)
         scaled = a.scale(u1)
         assert scaled.vector[0] == u1
@@ -53,7 +55,18 @@ class TestSections:
 
     def test_chart_mismatch(self):
         with pytest.raises(ChartMismatchError):
-            Chart(1).basis_vector(1) + Chart(2).basis_vector(1)
+            basis_vector(Chart(1), 1) + basis_vector(Chart(2), 1)
+
+    def test_foreign_ring_component_rejected(self):
+        chart = Chart(2)
+        z = chart.ring.zero
+        for foreign in (chart_ring(1).one, chart_ring(1).zero, chart_ring(3).var("u1")):
+            with pytest.raises(ChartMismatchError):
+                GeneralizedSection(chart, (z, z), (z, foreign))
+            rows = [[z] * 4 for _ in range(4)]
+            rows[2][1] = foreign
+            with pytest.raises(ChartMismatchError):
+                Endomorphism(chart, rows)
 
 
 class TestEndomorphisms:
@@ -71,6 +84,18 @@ class TestEndomorphisms:
             s = random_section(rng, chart)
             assert phi.compose(psi).apply(s) == phi.apply(psi.apply(s))
 
+    def test_apply_and_compose_match_row_by_column_reference(self):
+        rng = seeded("endo-reference")
+        for entry in build_fleet():
+            family = entry.family
+            sections = [fleet_section(rng, family) for _ in range(3)]
+            sections += basis_sections(family.chart)
+            for phi in family.members:
+                for s in sections:
+                    assert phi.apply(s) == reference_apply(phi, s)
+                for psi in family.members:
+                    assert phi.compose(psi) == reference_compose(phi, psi)
+
     def test_adjoint_identity(self):
         chart = Chart(1)
         assert Endomorphism.identity(chart).adjoint() == Endomorphism.identity(chart)
@@ -79,7 +104,7 @@ class TestEndomorphisms:
         rng = seeded("adjoint-pairs")
         for dim in (1, 2):
             chart = Chart(dim)
-            basis = chart.basis_sections()
+            basis = basis_sections(chart)
             for _ in range(6):
                 phi = random_endo(rng, chart)
                 adj = phi.adjoint()

@@ -4,9 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import S3, exact_form, permute_letters, relabel_indices, seeded, substitute
+from conftest import (
+    S3,
+    basis_form,
+    basis_sections,
+    basis_vector,
+    exact_form,
+    permute_letters,
+    relabel_indices,
+    seeded,
+    substitute,
+)
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
+from tensorcert import courant
 from tensorcert.courant import (
+    BRACKET_MEMO_SIZE,
+    cached_bracket,
     courant_bracket,
     courant_element,
     inner_product,
@@ -20,7 +33,7 @@ from tensorcert.courant import (
 from tensorcert.fleet import build_fleet
 from tensorcert.ideals import candidate_basis, generator_P, generator_T, vanishes_on_variety
 from tensorcert.parse import parse_polynomial
-from tensorcert.verify import random_polynomial
+from tensorcert.verify import random_polynomial, random_section
 from tensorcert.xyz import (
     Signature,
     ring_size,
@@ -56,12 +69,12 @@ def rnd_section(rng, chart):
 class TestInnerProduct:
     def test_vector_form_pairing(self):
         chart = Chart(1)
-        pairing = inner_product(chart.basis_vector(1), chart.basis_form(1))
+        pairing = inner_product(basis_vector(chart, 1), basis_form(chart, 1))
         assert pairing == chart.scalar(Fraction(1, 2))
 
     def test_vectors_pair_to_zero(self):
         chart = Chart(2)
-        assert inner_product(chart.basis_vector(1), chart.basis_vector(2)).is_zero()
+        assert inner_product(basis_vector(chart, 1), basis_vector(chart, 2)).is_zero()
 
     def test_symmetry_on_random_sections(self):
         rng = seeded("pairing-symmetry")
@@ -74,13 +87,13 @@ class TestInnerProduct:
 class TestCourantBracket:
     def test_lie_derivative_example(self):
         chart = Chart(1)
-        a = chart.basis_vector(1)
-        b = chart.basis_form(1).scale(chart.coordinate(1))
-        assert courant_bracket(a, b) == chart.basis_form(1)
+        a = basis_vector(chart, 1)
+        b = basis_form(chart, 1).scale(chart.coordinate(1))
+        assert courant_bracket(a, b) == basis_form(chart, 1)
 
     def test_constant_vectors_commute(self):
         chart = Chart(2)
-        a, b = chart.basis_vector(1), chart.basis_vector(2)
+        a, b = basis_vector(chart, 1), basis_vector(chart, 2)
         assert courant_bracket(a, b).is_zero()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -129,14 +142,14 @@ class TestCourantElement:
     def test_worked_value(self):
         chart = Chart(1)
         tau = courant_element(chart)
-        a = chart.basis_vector(1)
-        b = chart.basis_form(1).scale(chart.coordinate(1))
+        a = basis_vector(chart, 1)
+        b = basis_form(chart, 1).scale(chart.coordinate(1))
         assert tau(a, b, a) == chart.scalar(Fraction(1, 2))
 
     def test_constant_vector_only_sections(self):
         chart = Chart(2)
         tau = courant_element(chart)
-        vs = [chart.basis_vector(1), chart.basis_vector(2), chart.basis_vector(1)]
+        vs = [basis_vector(chart, 1), basis_vector(chart, 2), basis_vector(chart, 1)]
         assert tau(*vs).is_zero()
 
 
@@ -333,7 +346,7 @@ def reference_defect(poly, family):
         groups.setdefault((I, J), []).append((K, coeff))
     powers = {p for (pi, pj) in groups for p in (pi, pj)}
     powers.update(pk for ks in groups.values() for pk, _ in ks)
-    basis = chart.basis_sections()
+    basis = basis_sections(chart)
     applied = _powers_applied(family, powers, basis)
     base = _action_table(family, groups, applied, applied, applied)
     size = len(basis)
@@ -504,6 +517,45 @@ class TestTorsionTensor:
                 form = polynomial_action(poly, family, tau)
                 a, b, c = (rnd_section(rng, family.chart) for _ in range(3))
                 assert inner_product(torsion_T(i, j, k, family, a, b), c) == form(a, b, c)
+
+
+class TestBracketMemo:
+    def test_bridge_sample_computes_each_bracket_once(self, monkeypatch):
+        computed, requested = [], []
+
+        def counted(a, b):
+            computed.append((a, b))
+            return courant_bracket(a, b)
+
+        def requesting(a, b):
+            requested.append((a, b))
+            return cached_bracket(a, b)
+
+        monkeypatch.setattr(courant, "_bracket_memo", {})
+        monkeypatch.setattr(courant, "courant_bracket", counted)
+        monkeypatch.setattr(courant, "cached_bracket", requesting)
+        family = FLEET["generic-mixed-n2"]
+        rng = seeded("bracket-reuse")
+        a, b, c = (random_section(rng, family) for _ in range(3))
+        poly = generator_T(1, 2, 1, family.signature, xyz_ring(family.n))
+        form = polynomial_action(poly, family, courant_element(family.chart))
+        value = inner_product(torsion_T(1, 2, 1, family, a, b), c)
+        assert value == form(a, b, c) and not value.is_zero()
+        assert len(computed) == len(set(requested)) < len(requested)
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(courant, "_bracket_memo", memo)
+        chart = Chart(2)
+        rng = seeded("bracket-memo-bound")
+        b = rnd_section(rng, chart)
+        u2 = chart.coordinate(2)
+        firsts = [basis_vector(chart, 1).scale(u2**k) for k in range(2 * BRACKET_MEMO_SIZE)]
+        for a in firsts:
+            assert cached_bracket(a, b) == courant_bracket(a, b)
+            assert len(memo) <= BRACKET_MEMO_SIZE
+        assert len(memo) == BRACKET_MEMO_SIZE
+        assert (firsts[0], b) not in memo and (firsts[-1], b) in memo
 
 
 class TestQuadraticTensor:

@@ -15,11 +15,13 @@ from conftest import (
     polynomials,
     substitute,
 )
+from tensorcert.chart import chart_ring
 from tensorcert.poly import (
     MonomialOrder,
     OrderMismatchError,
     PolyRing,
     RingMismatchError,
+    dot,
     leading_term,
 )
 from tensorcert.xyz import elimination_order, letter_block_order, xyz_ring
@@ -285,3 +287,46 @@ def test_coefficient_invariant_against_fraction_reference(f, g, k, n):
     for got, want in cases:
         _assert_canonical(got)
         assert _ref(got) == want
+
+
+# -- the multiply-accumulate kernel ------------------------------------------------
+
+CHART_RINGS = [chart_ring(dim) for dim in (1, 2, 3)]
+
+
+def dot_operands(ring):
+    return st.one_of(polynomials(ring, max_terms=4), coefficients().map(ring.const))
+
+
+def assert_canonical(f):
+    for _, c in f.terms():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_dot_is_the_sum_of_products(data):
+    ring = data.draw(st.sampled_from(CHART_RINGS))
+    pairs = data.draw(st.lists(st.tuples(dot_operands(ring), dot_operands(ring)), max_size=5))
+    if data.draw(st.booleans()):
+        pairs += [(-f, g) for f, g in pairs]  # cancels exactly
+    result = dot(ring, pairs)
+    assert result.ring is ring
+    assert result == sum((f * g for f, g in pairs), ring.zero)
+    assert_canonical(result)
+
+
+@pytest.mark.parametrize("ring", CHART_RINGS)
+def test_dot_edge_cases(ring):
+    u = ring.var("u1")
+    assert dot(ring, []) == ring.zero
+    f = u * u + ring.const(Fraction(1, 3))
+    cancelled = dot(ring, [(f, u), (ring.const(-1), f * u)])
+    assert cancelled.is_zero() and len(cancelled) == 0
+    # Fraction products that come out integral are stored as int
+    half, twice = ring.const(Fraction(1, 2)), u.scale(2) + ring.const(4)
+    for pair in ((half, twice), (twice, half)):
+        folded = dot(ring, [pair, (ring.zero, u)])
+        assert folded == u + ring.const(2)
+        assert all(type(c) is int for _, c in folded.terms())
