@@ -21,7 +21,13 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .groebner import DEFAULT_STEP_BUDGET, IdealPresentation, StepBudget, groebner_basis
+from .groebner import (
+    DEFAULT_STEP_BUDGET,
+    EXPONENT_CAP,
+    IdealPresentation,
+    StepBudget,
+    groebner_basis,
+)
 from .ideals import candidate_basis, intersect_pair
 from .parse import ParseError, parse_polynomial, render_polynomial, tokenize
 from .report import EXIT_CONFIG, EXIT_INTERNAL, CertReport, emit_report
@@ -287,6 +293,8 @@ def _read_ideal(path: str, n_hint: int | None):
         raise UsageError(f"{path}: {exc}")
     if any(p.is_zero() for p in polys):
         raise UsageError(f"{path}: zero generators are not allowed")
+    if any(e >= EXPONENT_CAP for p in polys for m, _ in p.terms() for e in m):
+        raise UsageError(f"{path}: exponents must be below {EXPONENT_CAP}")
     return polys, n, uses_t
 
 

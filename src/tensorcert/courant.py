@@ -4,7 +4,9 @@ The bracket is computed exactly on polynomial components:
 
     [[X + alpha, Y + beta]] = [X, Y] + L_X beta - i_Y d(alpha)
 
-and the Courant element is tau_C(a, b, c) = <[[a, b]], c>.  A polynomial in
+from the Jacobians of X, Y, alpha and beta, each computed once per bracket;
+both the vector part and the form part read their derivatives from them.
+The Courant element is tau_C(a, b, c) = <[[a, b]], c>.  A polynomial in
 the x/y/z ring acts on forms by inserting endomorphism powers into the three
 slots; tensoriality of (P, phi) means the resulting form is function-linear.
 That is decided pointwise from the anchor identities of the bracket, so the
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import prod
 from typing import Callable
 
 from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, _check_chart
@@ -33,20 +34,6 @@ from .xyz import ring_size, split_terms, uses_t
 Vector = tuple[Polynomial, ...]
 # an R-trilinear form on sections, evaluated as form(a, b, c)
 Trilinear = Callable[[GeneralizedSection, GeneralizedSection, GeneralizedSection], Polynomial]
-
-
-def vector_apply(x: Vector, f: Polynomial, chart: Chart) -> Polynomial:
-    """X(f) = sum X_j df/du_j."""
-    return dot(
-        chart.ring, ((comp, f.derivative(f"u{j}")) for j, comp in enumerate(x, start=1) if comp)
-    )
-
-
-def lie_bracket(x: Vector, y: Vector, chart: Chart) -> Vector:
-    out = []
-    for i in range(chart.dim):
-        out.append(vector_apply(x, y[i], chart) - vector_apply(y, x[i], chart))
-    return tuple(out)
 
 
 def inner_product(a: GeneralizedSection, b: GeneralizedSection) -> Polynomial:
@@ -67,10 +54,17 @@ def courant_bracket(a: GeneralizedSection, b: GeneralizedSection) -> Generalized
     chart = a.chart
     x, alpha = a.vector, a.form
     y, beta = b.vector, b.form
-    vec = lie_bracket(x, y, chart)
     n = chart.dim
-    dx, dalpha, dbeta = _jacobian(x, n), _jacobian(alpha, n), _jacobian(beta, n)
+    dx, dy, dalpha, dbeta = (_jacobian(comps, n) for comps in (x, y, alpha, beta))
     neg_y = [-yj for yj in y]
+    # [X, Y]_i = X_j d_j Y_i - Y_j d_j X_i
+    vec = tuple(
+        dot(
+            chart.ring,
+            (pair for j in range(n) for pair in ((x[j], dy[i][j]), (neg_y[j], dx[i][j]))),
+        )
+        for i in range(n)
+    )
     # (L_X beta)_i = X_j d_j beta_i + beta_j d_i X_j
     # (i_Y d alpha)_i = Y_j (d_j alpha_i - d_i alpha_j)
     form = tuple(
@@ -174,8 +168,7 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     # the outer endomorphism sum_K c e^K phi^K, per (I, J)
     outer: dict[tuple, Endomorphism] = {}
     for I, J, K, coeff in split_terms(poly):
-        sign = prod(sig[k] for k, e in enumerate(K, start=1) if e % 2)
-        term = family.power_endo(K).scale(coeff * sign)
+        term = family.power_endo(K).scale(coeff * sig.power(K))
         outer[I, J] = outer[I, J] + term if (I, J) in outer else term
     parts = []  # G, M, ML, MR, L and -R (vector rows only) of each (I, J) part
     for (I, J), m in outer.items():

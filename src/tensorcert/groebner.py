@@ -11,7 +11,9 @@ to the reduced basis, which is canonical for (ideal, order).
 
 Internally monomials are re-aligned to the active order and bit-packed into
 integers, so comparison, multiplication and divisibility are single integer
-operations; the public API stays in ring coordinates.
+operations.  One ``_Packing`` per (order, ring) holds that format; every
+operation packs its inputs through it and unpacks its results through it, so
+the public API stays in ring coordinates.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .poly import (
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
+EXPONENT_CAP = 1 << 15  # every input exponent must stay below this
+
 
 class BudgetExceededError(RuntimeError):
     """The reduction-step budget ran out; never a silent wrong answer."""
@@ -56,6 +60,13 @@ class StepBudget:
             raise BudgetExceededError(self.limit)
 
 
+def _check_generators(generators: tuple[Polynomial, ...]) -> None:
+    if any(g.is_zero() for g in generators):
+        raise ValueError("zero generators are not allowed")
+    if len({g.ring for g in generators}) > 1:
+        raise ValueError("generators live in different rings")
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """An ordered generator list; the order of the list is semantically real."""
@@ -65,11 +76,7 @@ class IdealPresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if any(g.is_zero() for g in self.generators):
-            raise ValueError("zero generators are not allowed")
-        rings = {g.ring for g in self.generators}
-        if len(rings) > 1:
-            raise ValueError("generators live in different rings")
+        _check_generators(self.generators)
         if self.generators:
             self.order.validate(self.generators[0].ring)
 
@@ -93,79 +100,73 @@ class GroebnerBasis:
         return self.elements[0].ring
 
     @cached_property
-    def _divisors(self) -> tuple[tuple[int, ...], int, list["_Aligned"]]:
-        """(positions, guard mask, packed elements), built on first division."""
+    def _divisors(self) -> tuple["_Packing", list["_Aligned"]]:
+        """(packing, packed elements), built on first division."""
         if not self.elements:
             raise ValueError("need at least one divisor")
-        if any(g.is_zero() for g in self.elements):
-            raise ValueError("zero generators are not allowed")
-        if len({g.ring for g in self.elements}) > 1:
-            raise ValueError("generators live in different rings")
-        positions = _positions(self.order, self.ring)
-        aligned = [_Aligned(_align(g, positions)) for g in self.elements]
-        return positions, _guard_mask(len(positions)), aligned
+        _check_generators(self.elements)
+        packing = _Packing(self.order, self.ring)
+        return packing, [_Aligned(packing.align(g)) for g in self.elements]
 
 
-# -- aligned-core helpers -----------------------------------------------------
+# -- the packed core ------------------------------------------------------------
 #
 # Inside the engine a monomial is a single integer: 64-bit exponent fields,
 # the highest-ranked variable in the most significant field.  Then integer
 # comparison is exactly the lex order, multiplication is addition, and
 # divisibility is one subtract-and-mask (an underflowing field sets its guard
-# bit).  Input exponents are capped at 2^15, so fields cannot overflow within
-# any realistic step budget.  Coefficients arrive in the ``poly`` convention
-# (a plain int when integral, else a reduced Fraction, never a float) and
-# cross ``_align`` unconverted; quotients made inside the engine may be
-# integral Fractions, which ``_unalign`` folds back through ``from_terms``.
+# bit).  ``_Packing`` is the only code that knows which field holds which
+# variable.  Input exponents stay below ``EXPONENT_CAP``, so fields cannot
+# overflow within any realistic step budget.  Coefficients arrive in the
+# ``poly`` convention (a plain int when integral, else a reduced Fraction,
+# never a float) and cross ``align`` unconverted; quotients made inside the
+# engine may be integral Fractions, which ``unalign`` folds back through
+# ``from_terms``.
 
 _FIELD_BITS = 64
-_FIELD_CAP = 1 << 15
 
 
-def _positions(order: MonomialOrder, ring: PolyRing) -> tuple[int, ...]:
-    order.validate(ring)
-    return tuple(ring.index(v) for v in order.ranking if v in ring)
+class _Packing:
+    """The packed format of one (order, ring): field positions and guard mask."""
 
+    __slots__ = ("ring", "positions", "nvars", "guard")
 
-def _guard_mask(nvars: int) -> int:
-    mask = 0
-    for _ in range(nvars):
-        mask = (mask << _FIELD_BITS) | (1 << (_FIELD_BITS - 1))
-    return mask
+    def __init__(self, order: MonomialOrder, ring: PolyRing):
+        self.ring = ring
+        self.positions = order.positions(ring)
+        self.nvars = len(self.positions)
+        # the top bit of every field
+        self.guard = sum(1 << (k * _FIELD_BITS + _FIELD_BITS - 1) for k in range(self.nvars))
 
+    def _pack(self, exps: Exponents) -> int:
+        packed = 0
+        for e in exps:
+            if e >= EXPONENT_CAP:
+                raise ValueError(f"exponent {e} too large for the packed representation")
+            packed = (packed << _FIELD_BITS) | e
+        return packed
 
-def _pack(exps: Exponents) -> int:
-    packed = 0
-    for e in exps:
-        if e >= _FIELD_CAP:
-            raise ValueError(f"exponent {e} too large for the packed representation")
-        packed = (packed << _FIELD_BITS) | e
-    return packed
+    def _unpack(self, packed: int) -> Exponents:
+        mask = (1 << _FIELD_BITS) - 1
+        return tuple(packed >> (k * _FIELD_BITS) & mask for k in reversed(range(self.nvars)))
 
+    def align(self, f: Polynomial) -> dict[int, Coefficient]:
+        positions = self.positions
+        return {self._pack(tuple(m[p] for p in positions)): c for m, c in f.terms()}
 
-def _unpack(packed: int, nvars: int) -> Exponents:
-    out = []
-    mask = (1 << _FIELD_BITS) - 1
-    for _ in range(nvars):
-        out.append(packed & mask)
-        packed >>= _FIELD_BITS
-    return tuple(reversed(out))
+    def unalign(self, terms: dict[int, Coefficient]) -> Polynomial:
+        exps = [0] * self.nvars
+        out = {}
+        for packed, c in terms.items():
+            for pos, e in zip(self.positions, self._unpack(packed)):
+                exps[pos] = e
+            out[tuple(exps)] = c
+        return self.ring.from_terms(out)
 
-
-def _align(f: Polynomial, positions: tuple[int, ...]) -> dict[int, Coefficient]:
-    return {_pack(tuple(m[p] for p in positions)): c for m, c in f.terms()}
-
-
-def _unalign(d: dict[int, Coefficient], positions: tuple[int, ...], ring: PolyRing) -> Polynomial:
-    nvars = len(positions)
-    inverse = [0] * nvars
-    for rank_pos, ring_pos in enumerate(positions):
-        inverse[ring_pos] = rank_pos
-    terms = {}
-    for packed, c in d.items():
-        exps = _unpack(packed, nvars)
-        terms[tuple(exps[i] for i in inverse)] = c
-    return ring.from_terms(terms)
+    def lcm_shifts(self, f: "_Aligned", g: "_Aligned") -> tuple[int, int]:
+        """(lcm/lm_f, lcm/lm_g); the first equals lm_g iff the leads are coprime."""
+        lcm = self._pack(tuple(map(max, self._unpack(f.lm), self._unpack(g.lm))))
+        return lcm - f.lm, lcm - g.lm
 
 
 class _Aligned:
@@ -212,17 +213,9 @@ def _divide_aligned(
     return remainder
 
 
-def _lcm_shifts(f: _Aligned, g: _Aligned, nvars: int) -> tuple[int, int]:
-    """(lcm/lm_f, lcm/lm_g) as packed shifts."""
-    ef = _unpack(f.lm, nvars)
-    eg = _unpack(g.lm, nvars)
-    shift_f = _pack(tuple(max(a, b) - a for a, b in zip(ef, eg)))
-    shift_g = _pack(tuple(max(a, b) - b for a, b in zip(ef, eg)))
-    return shift_f, shift_g
-
-
-def _s_poly_aligned(f: _Aligned, g: _Aligned, nvars: int) -> dict[int, Coefficient]:
-    shift_f, shift_g = _lcm_shifts(f, g, nvars)
+def _s_poly_aligned(
+    f: _Aligned, g: _Aligned, shift_f: int, shift_g: int
+) -> dict[int, Coefficient]:
     out: dict[int, Coefficient] = {}
     for m, c in f.terms.items():
         out[m + shift_f] = c * g.lc
@@ -234,12 +227,6 @@ def _s_poly_aligned(f: _Aligned, g: _Aligned, nvars: int) -> dict[int, Coefficie
         else:
             out.pop(key, None)
     return out
-
-
-def _coprime(f: _Aligned, g: _Aligned, nvars: int) -> bool:
-    return all(
-        a == 0 or b == 0 for a, b in zip(_unpack(f.lm, nvars), _unpack(g.lm, nvars))
-    )
 
 
 def _exact_div(c, lc):
@@ -273,13 +260,13 @@ def normal_form(
     No leading monomial of an element divides any term of the result.  The
     division restarts from the first element after every reduction step.
     """
-    positions, guard, divisors = basis._divisors
-    if f.ring != basis.ring:
+    packing, divisors = basis._divisors
+    if f.ring != packing.ring:
         raise ValueError("dividend and divisors must share a ring")
     remainder = _divide_aligned(
-        _align(f, positions), divisors, step_budget or StepBudget(), guard
+        packing.align(f), divisors, step_budget or StepBudget(), packing.guard
     )
-    return _unalign(remainder, positions, basis.ring)
+    return packing.unalign(remainder)
 
 
 def membership(f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None) -> bool:
@@ -296,14 +283,9 @@ def buchberger(
 
     Coprime-lead pairs are skipped: their S-polynomials always reduce to zero.
     """
-    if not presentation.generators:
-        raise ValueError("cannot run Buchberger on an empty presentation")
-    ring = presentation.ring
+    packing = _Packing(presentation.order, presentation.ring)
     budget = step_budget or StepBudget()
-    positions = _positions(presentation.order, ring)
-    nvars = len(positions)
-    guard = _guard_mask(nvars)
-    originals = [_align(g, positions) for g in presentation.generators]
+    originals = [packing.align(g) for g in presentation.generators]
     # dividing by scaled copies changes quotients but never remainders, so the
     # working list is monic to keep coefficient growth down
     basis = [_Aligned(_monic_aligned(t)) for t in originals]
@@ -311,19 +293,19 @@ def buchberger(
     while j < len(basis):
         for i in range(j):
             gi, gj = basis[i], basis[j]
-            if _coprime(gi, gj, nvars):
+            shift_i, shift_j = packing.lcm_shifts(gi, gj)
+            if shift_i == gj.lm:
                 continue
-            s = _s_poly_aligned(gi, gj, nvars)
+            s = _s_poly_aligned(gi, gj, shift_i, shift_j)
             if not s:
                 continue
-            r = _divide_aligned(s, basis, budget, guard)
+            r = _divide_aligned(s, basis, budget, packing.guard)
             if r:
                 monic_r = _monic_aligned(r)
                 basis.append(_Aligned(monic_r))
                 originals.append(monic_r)
         j += 1
-    elements = tuple(_unalign(t, positions, ring) for t in originals)
-    return GroebnerBasis(elements, presentation.order)
+    return GroebnerBasis(tuple(map(packing.unalign, originals)), presentation.order)
 
 
 def buchberger_criterion(
@@ -339,20 +321,17 @@ def buchberger_criterion(
     elements = tuple(elements)
     if not elements:
         return True, None
-    ring = elements[0].ring
+    packing, aligned = GroebnerBasis(elements, order)._divisors
     budget = step_budget or StepBudget()
-    positions = _positions(order, ring)
-    nvars = len(positions)
-    guard = _guard_mask(nvars)
-    aligned = [_Aligned(_align(g, positions)) for g in elements]
     for j in range(1, len(aligned)):
         for i in range(j):
-            s = _s_poly_aligned(aligned[i], aligned[j], nvars)
+            f, g = aligned[i], aligned[j]
+            s = _s_poly_aligned(f, g, *packing.lcm_shifts(f, g))
             if not s:
                 continue
-            r = _divide_aligned(s, aligned, budget, guard)
+            r = _divide_aligned(s, aligned, budget, packing.guard)
             if r:
-                return False, _unalign(r, positions, ring)
+                return False, packing.unalign(r)
     return True, None
 
 
@@ -362,29 +341,23 @@ def reduce_basis(basis: GroebnerBasis, step_budget: StepBudget | None = None) ->
     Elements come out sorted by increasing leading monomial, so the result is
     independent of the input generator ordering.
     """
-    ring = basis.ring
+    packing = _Packing(basis.order, basis.ring)
     budget = step_budget or StepBudget()
-    positions = _positions(basis.order, ring)
-    guard = _guard_mask(len(positions))
-    aligned = [_monic_aligned(_align(g, positions)) for g in basis.elements if not g.is_zero()]
-    aligned.sort(key=max)
+    monic = [_Aligned(_monic_aligned(packing.align(g))) for g in basis.elements if not g.is_zero()]
     kept: list[_Aligned] = []
-    for terms in aligned:
-        lm = max(terms)
-        if any(not ((lm - h.lm) & guard) for h in kept):
-            continue
-        kept.append(_Aligned(terms))
+    for g in sorted(monic, key=lambda g: g.lm):
+        if all((g.lm - h.lm) & packing.guard for h in kept):
+            kept.append(g)
     result = []
     for pos, g in enumerate(kept):
         others = kept[:pos] + kept[pos + 1 :]
         if others:
-            r = _divide_aligned(g.terms, others, budget, guard)
+            r = _divide_aligned(g.terms, others, budget, packing.guard)
         else:
             r = g.terms
         result.append(r)
     result.sort(key=max)
-    elements = tuple(_unalign(r, positions, ring) for r in result)
-    return GroebnerBasis(elements, basis.order)
+    return GroebnerBasis(tuple(map(packing.unalign, result)), basis.order)
 
 
 def groebner_basis(
@@ -442,12 +415,6 @@ class MonomialIdeal:
             mono_lcm(a, b) for a in self.minimal_generators for b in other.minimal_generators
         }
         return MonomialIdeal.from_monomials(self.ring, lcms)
-
-    def equals(self, other: "MonomialIdeal") -> bool:
-        """Equality as ideals: mutual divisibility of the minimal generators."""
-        return self.ring == other.ring and all(
-            other.contains(g) for g in self.minimal_generators
-        ) and all(self.contains(g) for g in other.minimal_generators)
 
     def is_squarefree(self) -> bool:
         return all(all(e <= 1 for e in g) for g in self.minimal_generators)

@@ -360,10 +360,14 @@ class MonomialOrder:
         if missing:
             raise OrderMismatchError(f"order does not rank {missing}")
 
+    def positions(self, ring: PolyRing) -> tuple[int, ...]:
+        """The ring positions of the variables, highest-ranked first."""
+        self.validate(ring)
+        return tuple(ring.index(v) for v in self.ranking if v in ring)
+
     def key_for(self, ring: PolyRing) -> Callable[[Exponents], Exponents]:
         """Sort key: native tuple comparison of the key equals this order."""
-        self.validate(ring)
-        positions = tuple(ring.index(v) for v in self.ranking if v in ring)
+        positions = self.positions(ring)
         return lambda m: tuple(m[p] for p in positions)
 
     def without(self, name: str) -> MonomialOrder:

@@ -162,3 +162,9 @@ def exact_form(f: Polynomial, chart: Chart) -> GeneralizedSection:
     return GeneralizedSection(
         chart, zeros, tuple(f.derivative(f"u{i}") for i in range(1, chart.dim + 1))
     )
+
+
+def vector_apply(x: tuple[Polynomial, ...], f: Polynomial, chart: Chart) -> Polynomial:
+    """X(f) = sum X_j df/du_j, one product at a time."""
+    terms = (comp * f.derivative(f"u{j}") for j, comp in enumerate(x, start=1))
+    return sum(terms, chart.ring.zero)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exact_form, monic, seeded
+from conftest import exact_form, monic, seeded, vector_apply
 from tensorcert.chart import CommutingFamily, GeneralizedSection
 from tensorcert.courant import (
     courant_bracket,
@@ -27,7 +27,6 @@ from tensorcert.courant import (
     tensor_P,
     tensoriality_check,
     torsion_T,
-    vector_apply,
 )
 from tensorcert.fleet import build_fleet
 from tensorcert.groebner import membership

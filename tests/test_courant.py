@@ -14,6 +14,7 @@ from conftest import (
     relabel_indices,
     seeded,
     substitute,
+    vector_apply,
 )
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from tensorcert import courant
@@ -28,7 +29,6 @@ from tensorcert.courant import (
     tensor_P,
     tensoriality_check,
     torsion_T,
-    vector_apply,
 )
 from tensorcert.fleet import build_fleet
 from tensorcert.ideals import candidate_basis, generator_P, generator_T, vanishes_on_variety
@@ -95,6 +95,18 @@ class TestCourantBracket:
         chart = Chart(2)
         a, b = basis_vector(chart, 1), basis_vector(chart, 2)
         assert courant_bracket(a, b).is_zero()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_vector_part_is_the_lie_bracket(self, dim):
+        rng = seeded(f"lie-bracket-{dim}")
+        chart = Chart(dim)
+        for _ in range(25):
+            a, b = rnd_section(rng, chart), rnd_section(rng, chart)
+            x, y = a.vector, b.vector
+            lie = tuple(
+                vector_apply(x, y[i], chart) - vector_apply(y, x[i], chart) for i in range(dim)
+            )
+            assert courant_bracket(a, b).vector == lie
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_leibniz_second_slot(self, dim):

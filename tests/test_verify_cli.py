@@ -408,6 +408,36 @@ class TestCli:
         assert "Traceback" not in err
         assert err.count("error: ") == len(err.strip().splitlines()) == 7
 
+    def test_exponent_at_engine_cap_is_usage_error_before_any_basis(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import tensorcert.cli as cli
+        from tensorcert.groebner import EXPONENT_CAP
+
+        names = ("small.txt", "below.txt", "at.txt", "big.txt")
+        small, below, at, big = (tmp_path / name for name in names)
+        small.write_text("x1 - y1\n")
+        below.write_text(f"x1^{EXPONENT_CAP - 1} - y1\n")
+        at.write_text(f"x1*y1 - z1^{EXPONENT_CAP}\n")
+        big.write_text("x1^40000 - y1\n")
+        assert main(["gb", "--ideal", str(below)]) == 0
+        assert capsys.readouterr().out == f"x1^{EXPONENT_CAP - 1} - y1\n"
+
+        def never(*args, **kwargs):
+            raise AssertionError("a basis was computed for a refused input")
+
+        for name in ("groebner_basis", "intersect_pair"):
+            monkeypatch.setattr(cli, name, never)
+        for argv in (
+            ["gb", "--ideal", str(big)],
+            ["gb", "--ideal", str(at)],
+            ["intersect", "--a", str(small), "--b", str(big)],
+        ):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
+
     def test_report_matches_golden(self, capsys):
         # certify --suite all --n 1 --format json, every wall_time_ms zeroed;
         # tests/data/report-all-n2.json is made the same way at N = 2
