@@ -35,7 +35,6 @@ from .groebner import (
     StepBudget,
     buchberger,
     buchberger_criterion,
-    eliminate,
     groebner_basis,
     initial_ideal,
     membership,
@@ -45,6 +44,7 @@ from .groebner import (
 from .ideals import (
     build_axis_ideals,
     candidate_basis,
+    eliminate,
     generator_P,
     generator_T,
     intersect_pair,

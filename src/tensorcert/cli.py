@@ -44,6 +44,7 @@ from .fleet import build_fleet
 from .xyz import (
     Signature,
     elimination_order,
+    index_desc_order,
     letter_block_order,
     order_from_spec,
     xyz_ring,
@@ -220,7 +221,8 @@ def _cmd_certify(args) -> int:
     report = run_suite(args.suite, args.n_max, sigs, budget, max(1, args.workers))
     rendered = emit_report(report, args.format)
     if args.out:
-        _write_atomically(args.out, emit_report(report, "json") + "\n")
+        as_json = rendered if args.format == "json" else emit_report(report, "json")
+        _write_atomically(args.out, as_json + "\n")
     print(rendered)
     return report.exit_code()
 
@@ -322,11 +324,11 @@ def _cmd_intersect(args) -> int:
         raise UsageError("input ideals must not use the auxiliary variable t")
     n = max(n_a, n_b)
     ring = xyz_ring(n)
-    order = elimination_order(n)
-    pres_a = IdealPresentation(tuple(p.map_ring(ring) for p in polys_a), order.without("t"))
-    pres_b = IdealPresentation(tuple(p.map_ring(ring) for p in polys_b), order.without("t"))
+    order = index_desc_order(n)
+    pres_a = IdealPresentation(tuple(p.map_ring(ring) for p in polys_a), order)
+    pres_b = IdealPresentation(tuple(p.map_ring(ring) for p in polys_b), order)
     budget = StepBudget(default_budget(args.budget))
-    basis = intersect_pair(pres_a, pres_b, order, budget)
+    basis = intersect_pair(pres_a, pres_b, budget)
     for g in basis.elements:
         print(render_polynomial(g, basis.order))
     return 0

@@ -7,7 +7,9 @@ monic at the tail.  Pairs whose leading monomials are coprime are always
 skipped, because their S-polynomials reduce to zero (Buchberger's first
 criterion); ``buchberger_criterion`` stays the honest all-pairs check.
 ``groebner_basis`` is the one entry point: Buchberger followed by reduction
-to the reduced basis, which is canonical for (ideal, order).
+to the reduced basis, which is canonical for (ideal, order).  The engine
+works for any ring and any ranked lex order; it knows no auxiliary
+variables, so elimination lives with the intersections in ``ideals``.
 
 Internally monomials are re-aligned to the active order and bit-packed into
 integers, so comparison, multiplication and divisibility are single integer
@@ -288,7 +290,7 @@ def buchberger(
     originals = [packing.align(g) for g in presentation.generators]
     # dividing by scaled copies changes quotients but never remainders, so the
     # working list is monic to keep coefficient growth down
-    basis = [_Aligned(_monic_aligned(t)) for t in originals]
+    basis = [_Aligned(_monic_aligned(terms)) for terms in originals]
     j = 1
     while j < len(basis):
         for i in range(j):
@@ -366,21 +368,6 @@ def groebner_basis(
     """Buchberger followed by reduction to the canonical basis."""
     budget = step_budget or StepBudget()
     return reduce_basis(buchberger(presentation, budget), budget)
-
-
-def eliminate(basis: GroebnerBasis, variable: str = "t") -> GroebnerBasis:
-    """The variable-free part of a basis under an elimination order.
-
-    For an order ranking t above everything, the t-free subset of a (reduced)
-    Groebner basis of tI + (1-t)J is a (reduced) Groebner basis of I with t
-    eliminated; elements are re-homed in the smaller ring.
-    """
-    if basis.order.eliminates != variable:
-        raise ValueError(f"order does not eliminate {variable!r}")
-    ring = basis.ring
-    small = PolyRing(tuple(v for v in ring.variables if v != variable))
-    free = [g.map_ring(small) for g in basis.elements if variable not in g.support_vars()]
-    return GroebnerBasis(tuple(free), basis.order.without(variable))
 
 
 # -- monomial ideals ----------------------------------------------------------

@@ -9,10 +9,12 @@ has two independent oracles besides Groebner membership: a linear system on
 the coefficient tensor, and vanishing on the three linear subvarieties, each
 reached by a signed renaming of one letter.
 
-Intersections use the t-trick, built in one place (``scale_into_t_ring``).
-Ideal equality is decided by comparing reduced Groebner bases, which are
-unique for (ideal, order); ``ideal_contains`` only names a witness once two
-bases differ.
+Intersections use the t-trick, I cap J = (tI + (1-t)J) cap Q[x, y, z], and
+this module owns both halves of it and its order: ``scale_into_t_ring`` ranks
+t above the presentations' own t-free order, which makes lex an elimination
+order, and ``eliminate`` drops t again.  Ideal equality is decided by
+comparing reduced Groebner bases, which are unique for (ideal, order);
+``ideal_contains`` only names a witness once two bases differ.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .groebner import (
     GroebnerBasis,
     IdealPresentation,
     StepBudget,
-    eliminate,
     groebner_basis,
     membership,
 )
@@ -184,44 +185,53 @@ def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
 # -- intersections and products -------------------------------------------------
 
 
-def scale_into_t_ring(
-    i_pres: IdealPresentation, j_pres: IdealPresentation, elim_order: MonomialOrder
-) -> IdealPresentation:
-    """Generators of tI + (1-t)J in the t-extended ring, I's first."""
-    ring = i_pres.ring
-    t_ring = xyz_ring(ring_size(ring), with_t=True)
+def scale_into_t_ring(i_pres: IdealPresentation, j_pres: IdealPresentation) -> IdealPresentation:
+    """Generators of tI + (1-t)J in the t-extended ring, I's first.
+
+    Both presentations are t-free.  The result is ordered lex with t ranked
+    above I's order, so t is eliminated first.
+    """
+    if "t" in i_pres.order.ranking or "t" in j_pres.order.ranking:
+        raise ValueError("the t-trick needs presentations whose order does not rank t")
+    t_ring = xyz_ring(ring_size(i_pres.ring), with_t=True)
     t = t_ring.var("t")
     one_minus_t = t_ring.one - t
     gens = [t * g.map_ring(t_ring) for g in i_pres.generators]
     gens += [one_minus_t * g.map_ring(t_ring) for g in j_pres.generators]
-    return IdealPresentation(tuple(gens), elim_order)
+    return IdealPresentation(tuple(gens), MonomialOrder(("t",) + i_pres.order.ranking))
+
+
+def eliminate(basis: GroebnerBasis) -> GroebnerBasis:
+    """The t-free part of a basis under an order ranking t first.
+
+    For such an order the t-free subset of a (reduced) Groebner basis of
+    tI + (1-t)J is a (reduced) Groebner basis of I cap J under the order
+    without t; elements are re-homed in the t-free ring.
+    """
+    ranking = basis.order.ranking
+    if ranking[:1] != ("t",):
+        raise ValueError("eliminating t needs an order ranking t first")
+    ring = xyz_ring(ring_size(basis.ring))
+    free = [g.map_ring(ring) for g in basis.elements if not uses_t(g)]
+    return GroebnerBasis(tuple(free), MonomialOrder(ranking[1:]))
 
 
 def intersect_pair(
     i_pres: IdealPresentation,
     j_pres: IdealPresentation,
-    elim_order: MonomialOrder,
     step_budget: StepBudget | None = None,
 ) -> GroebnerBasis:
     """I intersect J by elimination: reduced basis of tI + (1-t)J, t dropped.
 
-    The result is the reduced Groebner basis of the intersection under the
-    elimination order restricted to the original variables.
+    The result is the reduced Groebner basis of the intersection under I's
+    order.
     """
-    if elim_order.eliminates != "t":
-        raise ValueError("intersection needs an order eliminating t")
-    combined = scale_into_t_ring(i_pres, j_pres, elim_order)
-    return eliminate(groebner_basis(combined, step_budget), "t")
+    return eliminate(groebner_basis(scale_into_t_ring(i_pres, j_pres), step_budget))
 
 
 def product_ideal(i_pres: IdealPresentation, j_pres: IdealPresentation) -> IdealPresentation:
     """All pairwise generator products, ordered by (i, j) generator positions."""
-    gens = tuple(
-        g * h
-        for g in i_pres.generators
-        for h in j_pres.generators
-        if not (g * h).is_zero()
-    )
+    gens = tuple(g * h for g in i_pres.generators for h in j_pres.generators)
     return IdealPresentation(gens, i_pres.order)
 
 

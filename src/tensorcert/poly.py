@@ -123,11 +123,15 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; equality is exact term-wise equality."""
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict[Exponents, Coefficient]):
         self.ring = ring
         self._terms = terms
+
+    def __reduce__(self):
+        # the cached hash is salted per process, so it never crosses a pickle
+        return Polynomial, (self.ring, self._terms)
 
     # -- inspection ---------------------------------------------------------
 
@@ -163,7 +167,11 @@ class Polynomial:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self._terms.items())))
+        try:
+            return self._hash
+        except AttributeError:  # first call: the terms never change, so cache it
+            self._hash = hash((self.ring, frozenset(self._terms.items())))
+            return self._hash
 
     def __repr__(self) -> str:
         from .parse import render_polynomial  # cycle-free at call time
@@ -203,18 +211,7 @@ class Polynomial:
         if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Exponents, Coefficient] = {}
-        get = out.get
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = tuple(map(add, ma, mb))
-                a = get(m)
-                s = ca * cb if a is None else a + ca * cb
-                if s:
-                    out[m] = _norm(s)
-                else:
-                    del out[m]
-        return Polynomial(self.ring, out)
+        return dot(self.ring, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -341,19 +338,17 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
 class MonomialOrder:
     """Lex order given by an explicit variable ranking (highest first).
 
-    ``eliminates`` marks the auxiliary variable used for ideal intersection;
-    it must then be the highest-ranked variable.
+    The ranking may name variables a ring lacks; it must rank every variable
+    of a ring it is used on.  An order is nothing but its ranking: the
+    elimination order of an intersection is built by the intersection itself
+    (``ideals.scale_into_t_ring``).
     """
 
     ranking: tuple[str, ...]
-    eliminates: str | None = None
 
     def __post_init__(self):
         if len(set(self.ranking)) != len(self.ranking):
             raise ValueError("ranking repeats a variable")
-        if self.eliminates is not None:
-            if not self.ranking or self.ranking[0] != self.eliminates:
-                raise ValueError("eliminated variable must rank highest")
 
     def validate(self, ring: PolyRing) -> None:
         missing = [v for v in ring.variables if v not in self.ranking]
@@ -369,11 +364,6 @@ class MonomialOrder:
         """Sort key: native tuple comparison of the key equals this order."""
         positions = self.positions(ring)
         return lambda m: tuple(m[p] for p in positions)
-
-    def without(self, name: str) -> MonomialOrder:
-        rk = tuple(v for v in self.ranking if v != name)
-        elim = self.eliminates if self.eliminates != name else None
-        return MonomialOrder(rk, eliminates=elim)
 
 
 def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Exponents, Coefficient]:

@@ -43,15 +43,14 @@ from .groebner import (
     MonomialIdeal,
     StepBudget,
     buchberger_criterion,
-    eliminate,
     groebner_basis,
     initial_ideal,
     membership,
 )
 from .ideals import (
-    axis_generator,
     build_axis_ideals,
     candidate_basis,
+    eliminate,
     generator_P,
     generator_T,
     ideal_contains,
@@ -66,7 +65,7 @@ from .parse import render_polynomial
 from .poly import MonomialOrder, Polynomial, leading_term
 from .xyz import (
     Signature,
-    elimination_order,
+    index_desc_order,
     indices_of,
     letter_block_order,
     pair_order,
@@ -147,7 +146,7 @@ def _seed(case_id: str) -> random.Random:
 
 def _j_ideal_factors(sig: Signature) -> tuple[IdealPresentation, IdealPresentation]:
     """I^x and the product I^y I^z, generators by increasing index."""
-    axes = build_axis_ideals(sig, elimination_order(sig.n).without("t"))
+    axes = build_axis_ideals(sig, index_desc_order(sig.n))
     return axes.i_x, product_ideal(axes.i_y, axes.i_z)
 
 
@@ -157,12 +156,12 @@ def j_ideal_presentation(sig: Signature) -> IdealPresentation:
     The t(y_i - e_i z_i) come first by increasing i, then the products
     (1-t)(z_i - e_i x_i)(x_j - e_j y_j) ordered by (i, j).
     """
-    return scale_into_t_ring(*_j_ideal_factors(sig), elimination_order(sig.n))
+    return scale_into_t_ring(*_j_ideal_factors(sig))
 
 
 def tensorial_ideal_basis(sig: Signature, budget: StepBudget | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the triple intersection, via the t-trick."""
-    return intersect_pair(*_j_ideal_factors(sig), elimination_order(sig.n), budget)
+    return intersect_pair(*_j_ideal_factors(sig), budget)
 
 
 def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
@@ -191,7 +190,7 @@ def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
         j_basis = groebner_basis(j_ideal_presentation(sig), budget)
         ok, problems = structural_claims(j_basis)
         case.check("structural_claims", ok, *problems[:3])
-        intersection = eliminate(j_basis, "t")
+        intersection = eliminate(j_basis)
         case.details["intersection_basis_size"] = len(intersection.elements)
         # surfaced for inspection: extra elements beyond the T/P set live here
         case.details["intersection_basis"] = [
@@ -221,13 +220,8 @@ def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
 
         if n <= 2:
             axes = build_axis_ideals(sig, order, ring)
-            inner = intersect_pair(axes.i_y, axes.i_z, elimination_order(n), budget)
-            full = intersect_pair(
-                axes.i_x,
-                IdealPresentation(inner.elements, order),
-                elimination_order(n),
-                budget,
-            )
+            inner = intersect_pair(axes.i_y, axes.i_z, budget)
+            full = intersect_pair(axes.i_x, IdealPresentation(inner.elements, order), budget)
             agreed = full.elements == intersection.elements
             case.check(
                 "double_elimination_cross_check", agreed, "double-elimination route disagrees"
@@ -254,10 +248,9 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
             first, second = axes.pair(pair)
             product = product_ideal(first, second)
             product_gb = groebner_basis(product, budget)
-            elim = MonomialOrder(("t",) + order.ranking, eliminates="t")
-            intersection = intersect_pair(first, second, elim, budget)
-            # the orders agree (elim.without("t") == order), so equal reduced
-            # bases are equal ideals; membership only names the witness
+            intersection = intersect_pair(first, second, budget)
+            # the intersection keeps the pair's order, so equal reduced bases
+            # are equal ideals; membership only names the witness
             equal = product_gb.elements == intersection.elements
             key = "".join(pair)
             if not case.check(f"{key}_product_equals_intersection", equal):
@@ -303,22 +296,19 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
         budget = StepBudget(budget_limit)
         ring = xyz_ring(n)
         order = letter_block_order(n)
-        f, g, h = ([axis_generator(w, i, sig, ring) for i in range(1, n + 1)] for w in "xyz")
-        rng = range(n)
-        basis_xy = [f[i] * g[j] for i in rng for j in rng]
-        basis_xz = [f[i] * h[j] for i in rng for j in rng]
-        basis_yz = [g[i] * h[j] for i in rng for j in rng] + [
-            generator_P(i, j, sig, ring)
-            for i, j in itertools.combinations(range(1, n + 1), 2)
-        ]
-        for name, basis in (("xy", basis_xy), ("xz", basis_xz), ("yz", basis_yz)):
+        axes = build_axis_ideals(sig, order, ring)
+        products = {"".join(pair): product_ideal(*axes.pair(pair)).generators for pair in PAIRS}
+        products["yz"] += tuple(
+            generator_P(i, j, sig, ring) for i, j in itertools.combinations(range(1, n + 1), 2)
+        )
+        for name, basis in products.items():
             holds, witness = buchberger_criterion(basis, order, budget)
             case.check(f"{name}_generators_are_groebner", holds, *_rendered(witness, order))
 
         cand = candidate_basis(sig, ring)
         in_xy, in_xz, in_yz, cand_initial = (
-            initial_ideal(GroebnerBasis(tuple(basis), order))
-            for basis in (basis_xy, basis_xz, basis_yz, cand.members)
+            initial_ideal(GroebnerBasis(basis, order))
+            for basis in (*products.values(), cand.members)
         )
         computed = in_xy.intersect(in_xz).intersect(in_yz)
         closed = initial_intersection_closed_form(n)
@@ -328,10 +318,10 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
         x, y = ([ring.var(f"{w}{i}") for i in range(1, n + 1)] for w in "xy")
         lead_checks = all(
             _lead(generator_T(i + 1, j + 1, k + 1, sig, ring), order) == x[i] * x[k] * y[j]
-            for i, j, k in itertools.product(rng, repeat=3)
+            for i, j, k in itertools.product(range(n), repeat=3)
         ) and all(
             _lead(generator_P(i + 1, j + 1, sig, ring), order) == x[i] * y[j]
-            for i, j in itertools.combinations(rng, 2)
+            for i, j in itertools.combinations(range(n), 2)
         )
         case.check("candidate_lead_terms_as_predicted", lead_checks)
 

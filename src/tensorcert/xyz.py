@@ -1,10 +1,9 @@
 """The 3N-variable ring R[x_1..x_N, y_1..y_N, z_1..z_N].
 
 Variables are named ``x1 .. xN, y1 .. yN, z1 .. zN`` plus the auxiliary
-``t`` used by elimination; ``t`` is an ordinary variable that happens to
-outrank the rest in elimination orders.  This module owns the ring layout, so
-the split of a monomial into its exponent vectors x^I y^J z^K lives here
-(``split_terms``).
+``t`` of the t-trick (see ``ideals``); ``t`` is an ordinary variable of the
+extended ring.  This module owns the ring layout, so the split of a monomial
+into its exponent vectors x^I y^J z^K lives here (``split_terms``).
 """
 
 from __future__ import annotations
@@ -132,10 +131,7 @@ class Signature:
 
 def elimination_order(n: int) -> MonomialOrder:
     """t > x_N > y_N > z_N > x_(N-1) > ... > x_1 > y_1 > z_1."""
-    rk = ["t"]
-    for i in range(n, 0, -1):
-        rk += [f"x{i}", f"y{i}", f"z{i}"]
-    return MonomialOrder(tuple(rk), eliminates="t")
+    return MonomialOrder(("t",) + index_desc_order(n).ranking)
 
 
 def index_desc_order(n: int, letters: tuple[str, str, str] = LETTERS) -> MonomialOrder:
@@ -176,7 +172,5 @@ def order_from_spec(spec: str, n: int) -> MonomialOrder:
     if spec == "block":
         return letter_block_order(n)
     if "," in spec:
-        names = tuple(s.strip() for s in spec.split(","))
-        elim = "t" if names and names[0] == "t" else None
-        return MonomialOrder(names, eliminates=elim)
+        return MonomialOrder(tuple(s.strip() for s in spec.split(",")))
     raise ValueError(f"unknown order spec {spec!r}")

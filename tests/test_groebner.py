@@ -26,10 +26,10 @@ from tensorcert.groebner import (
     normal_form,
     reduce_basis,
 )
-from tensorcert.ideals import intersect_pair
+from tensorcert.ideals import eliminate, intersect_pair
 from tensorcert.parse import parse_polynomial
 from tensorcert.poly import MonomialOrder, leading_term, mono_divides
-from tensorcert.xyz import elimination_order, letter_block_order, xyz_ring
+from tensorcert.xyz import elimination_order, index_desc_order, xyz_ring
 
 R1 = xyz_ring(1)
 LEX = MonomialOrder(("x1", "y1", "z1"))
@@ -240,26 +240,23 @@ class TestMembership:
 
 class TestElimination:
     def test_principal_coprime_lcm(self):
-        order = elimination_order(1)
-        plain = order.without("t")
+        plain = index_desc_order(1)
         a = IdealPresentation((p("x1"),), plain)
         b = IdealPresentation((p("y1"),), plain)
-        basis = intersect_pair(a, b, order)
+        basis = intersect_pair(a, b)
         assert [str_poly(g) for g in basis.elements] == ["x1*y1"]
 
     def test_shared_factor_lcm(self):
-        order = elimination_order(1)
-        plain = order.without("t")
+        plain = index_desc_order(1)
         a = IdealPresentation((p("x1*y1"),), plain)
         b = IdealPresentation((p("y1*z1"),), plain)
-        basis = intersect_pair(a, b, order)
+        basis = intersect_pair(a, b)
         assert len(basis.elements) == 1
         assert basis.elements[0] == p("x1*y1*z1")
 
     def test_linear_factor_products(self):
         rng = seeded("lcm-cases")
-        order = elimination_order(1)
-        plain = order.without("t")
+        plain = index_desc_order(1)
         forms = [p("x1 + y1"), p("y1 + z1"), p("z1 + x1"), p("x1 - 2*z1")]
         for _ in range(6):
             take_a = sorted(rng.sample(range(4), rng.randint(1, 3)))
@@ -273,25 +270,30 @@ class TestElimination:
             lcm = R1.one
             for i in sorted(set(take_a) | set(take_b)):
                 lcm = lcm * forms[i]
-            basis = intersect_pair(
-                IdealPresentation((fa,), plain), IdealPresentation((fb,), plain), order
-            )
+            a, b = (IdealPresentation((f,), plain) for f in (fa, fb))
+            basis = intersect_pair(a, b)
             assert len(basis.elements) == 1
             assert basis.elements[0] == monic(lcm, plain)
 
     def test_self_intersection(self):
-        order = elimination_order(1)
-        plain = order.without("t")
+        plain = index_desc_order(1)
         ideal = IdealPresentation((p("x1 - y1"), p("y1^2 - z1")), plain)
-        basis = intersect_pair(ideal, ideal, order)
+        basis = intersect_pair(ideal, ideal)
         direct = groebner_basis(ideal)
         assert basis.elements == direct.elements
 
-    def test_elimination_requires_t_order(self):
-        plain = letter_block_order(1)
-        ideal = IdealPresentation((p("x1"),), plain)
+    def test_presentation_ranking_t_is_refused(self):
+        # <t - x1> is not the zero ideal, yet eliminating a t that the
+        # caller's presentation already uses would leave no element at all
+        r1t = xyz_ring(1, with_t=True)
+        ideal = IdealPresentation((p("t - x1", r1t),), elimination_order(1))
         with pytest.raises(ValueError):
-            intersect_pair(ideal, ideal, plain)
+            intersect_pair(ideal, ideal)
+
+    def test_eliminate_needs_t_ranked_first(self):
+        basis = groebner_basis(IdealPresentation((p("x1 - y1"),), index_desc_order(1)))
+        with pytest.raises(ValueError):
+            eliminate(basis)
 
 
 class TestMonomialIdeals:

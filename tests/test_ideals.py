@@ -31,7 +31,7 @@ from tensorcert.poly import leading_term
 from tensorcert.verify import random_polynomial, tensorial_ideal_basis
 from tensorcert.xyz import (
     Signature,
-    elimination_order,
+    index_desc_order,
     letter_block_order,
     pair_order,
     xyz_ring,
@@ -169,11 +169,10 @@ class TestOracles:
 
 class TestIntersections:
     def test_coprime_principal_lcm(self):
-        elim = elimination_order(1)
-        plain = elim.without("t")
+        plain = index_desc_order(1)
         a = IdealPresentation((p("y1 + z1"),), plain)
         b = IdealPresentation((p("(z1+x1)*(x1+y1)"),), plain)
-        basis = intersect_pair(a, b, elim)
+        basis = intersect_pair(a, b)
         assert len(basis.elements) == 1
         assert basis.elements[0] == monic(p("(x1+y1)*(y1+z1)*(z1+x1)"), plain)
 
@@ -241,7 +240,7 @@ class TestClosedForms:
     def test_dropping_quadratic_breaks_generation(self):
         sig = Signature((1, 1))
         cand = candidate_basis(sig, R2)
-        order = elimination_order(2).without("t")
+        order = index_desc_order(2)
         torsions_only = groebner_basis(IdealPresentation(cand.torsion_gens, order))
         quadratic = generator_P(1, 2, sig, R2)
         assert not membership(quadratic, torsions_only)

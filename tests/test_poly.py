@@ -1,6 +1,10 @@
 """Polynomial core: exact arithmetic, ranked lex orders, structural maps."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 import pytest
@@ -330,3 +334,21 @@ def test_dot_edge_cases(ring):
         folded = dot(ring, [pair, (ring.zero, u)])
         assert folded == u + ring.const(2)
         assert all(type(c) is int for _, c in folded.terms())
+
+
+def test_cached_hash_does_not_cross_a_pickle():
+    # str hashes are salted per process, and `certify --workers` pickles
+    # polynomials into worker processes
+    make = (
+        "import pickle, sys; from tensorcert.xyz import xyz_ring; r = xyz_ring(1); "
+        "f = r.var('x1') - r.var('y1'); hash(f); sys.stdout.buffer.write(pickle.dumps(f))"
+    )
+    check = (
+        "import pickle, sys; from tensorcert.xyz import xyz_ring; r = xyz_ring(1); "
+        "f = pickle.loads(sys.stdin.buffer.read()); "
+        "assert hash(f) == hash(r.var('x1') - r.var('y1'))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    run = partial(subprocess.run, capture_output=True, check=True)
+    data = run([sys.executable, "-c", make], env=env).stdout
+    run([sys.executable, "-c", check], input=data, env=dict(env, PYTHONHASHSEED="2"))

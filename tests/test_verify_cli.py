@@ -446,6 +446,19 @@ class TestCli:
         out = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', capsys.readouterr().out)
         assert out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (["intersect", "--a", "ideal-a-n2.txt", "--b", "ideal-b-n2.txt"], "intersect-a-b-n2.txt"),
+            (["gb", "--ideal", "ideal-t-n2.txt", "--order", "elim"], "gb-t-n2-elim.txt"),
+        ],
+    )
+    def test_ideal_commands_match_golden(self, capsys, args, golden):
+        data = pathlib.Path(__file__).parent / "data"
+        argv = [str(data / a) if a.endswith(".txt") else a for a in args]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (data / golden).read_text(encoding="utf-8")
+
     def test_gens_output_parses(self, capsys):
         code = main(["gens", "--n", "2", "--sig", "++"])
         assert code == 0
