@@ -41,9 +41,6 @@ class Chart:
     def coordinate(self, i: int) -> Polynomial:
         return self.ring.var(f"u{i}")
 
-    def scalar(self, value) -> Polynomial:
-        return self.ring.const(value)
-
 
 class ChartMismatchError(ValueError):
     """Operands live over different charts."""
@@ -135,12 +132,6 @@ class Endomorphism:
         return cls(chart, rows)
 
     @classmethod
-    def zero(cls, chart: Chart) -> "Endomorphism":
-        z = chart.ring.zero
-        size = 2 * chart.dim
-        return cls(chart, [[z] * size for _ in range(size)])
-
-    @classmethod
     def identity(cls, chart: Chart) -> "Endomorphism":
         z, o = chart.ring.zero, chart.ring.one
         size = 2 * chart.dim
@@ -203,14 +194,6 @@ class Endomorphism:
         ]
         return Endomorphism(self.chart, rows)
 
-    def power(self, k: int) -> "Endomorphism":
-        if k < 0:
-            raise ValueError("negative endomorphism power")
-        result = Endomorphism.identity(self.chart)
-        for _ in range(k):
-            result = result.compose(self)
-        return result
-
 
 class FamilyValidationError(ValueError):
     """A symmetry-type or commutation constraint failed at construction."""
@@ -257,8 +240,8 @@ class CommutingFamily:
         cached = self._power_cache.get(key)
         if cached is None:
             cached = Endomorphism.identity(self.chart)
-            for i, e in enumerate(key):
-                if e:
-                    cached = cached.compose(self.members[i].power(e))
+            for member, e in zip(self.members, key):
+                for _ in range(e):
+                    cached = cached.compose(member)
             self._power_cache[key] = cached
         return cached

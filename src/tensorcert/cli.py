@@ -9,7 +9,7 @@ Subcommands::
     tensorcert intersect --a FILE --b FILE [--n N]
 
 Exit codes: 0 all pass, 1 failures, 2 budget exhaustion only, 3 usage error,
-4 internal error (with a traceback on stderr).
+4 internal error (with a traceback on stderr), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .groebner import (
 )
 from .ideals import candidate_basis, intersect_pair
 from .parse import ParseError, parse_polynomial, render_polynomial, tokenize
-from .report import EXIT_CONFIG, EXIT_INTERNAL, CertReport, emit_report
+from .report import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INTERNAL, CertReport, emit_report
 from .verify import (
     CaseResult,
     gen_set_case,
@@ -267,9 +267,10 @@ def _cmd_gens(args) -> int:
 def _read_ideal(path: str, n_hint: int | None):
     try:
         with open(path, encoding="utf-8") as handle:
+            # (file line number, text) per polynomial; columns count from the line start
             lines = [
-                line.strip()
-                for line in handle
+                (number, line.rstrip())
+                for number, line in enumerate(handle, start=1)
                 if line.strip() and not line.lstrip().startswith("#")
             ]
     except OSError as exc:
@@ -278,8 +279,9 @@ def _read_ideal(path: str, n_hint: int | None):
         raise UsageError(f"{path} contains no polynomials")
     n = n_hint or 0
     uses_t = False
+    number = 0  # the file line being read, named by a parse error
     try:
-        for line in lines:
+        for number, line in lines:
             for token in tokenize(line):
                 if token.kind != "name":
                     continue
@@ -290,9 +292,11 @@ def _read_ideal(path: str, n_hint: int | None):
         if n < 1:
             raise UsageError(f"{path}: could not infer the index range; pass --n")
         ring = xyz_ring(n, with_t=uses_t)
-        polys = [parse_polynomial(line, ring) for line in lines]
+        polys = []
+        for number, line in lines:
+            polys.append(parse_polynomial(line, ring))
     except ParseError as exc:
-        raise UsageError(f"{path}: {exc}")
+        raise UsageError(f"{path}: {exc.reason} (line {number}, column {exc.col})")
     if any(p.is_zero() for p in polys):
         raise UsageError(f"{path}: zero generators are not allowed")
     if any(e >= EXPONENT_CAP for p in polys for m, _ in p.terms() for e in m):
@@ -338,18 +342,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "gens":
-            return _cmd_gens(args)
-        if args.command == "gb":
-            return _cmd_gb(args)
-        if args.command == "intersect":
-            return _cmd_intersect(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        run = {"certify": _cmd_certify, "gens": _cmd_gens, "gb": _cmd_gb, "intersect": _cmd_intersect}
+        code = run[args.command](args)
+        sys.stdout.flush()  # a reader that went away shows here, not in the flush at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader went away; the flush at exit must not find the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -29,7 +29,7 @@ from typing import Callable
 
 from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, _check_chart
 from .poly import Polynomial, dot
-from .xyz import ring_size, split_terms, uses_t
+from .xyz import ring_size, split_terms
 
 Vector = tuple[Polynomial, ...]
 # an R-trilinear form on sections, evaluated as form(a, b, c)
@@ -111,8 +111,6 @@ def polynomial_action(
     poly: Polynomial, family: CommutingFamily, tau: Trilinear
 ) -> Trilinear:
     """(P ._phi tau)(a,b,c) = sum a_IJK tau(phi^I a, phi^J b, phi^K c)."""
-    if uses_t(poly):
-        raise ValueError("the action is defined on the t-free ring")
     n = ring_size(poly.ring)
     if n != family.n:
         raise ValueError(f"polynomial has {n} indices but the family has {family.n}")
@@ -156,8 +154,6 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
 
     so each is one ``dot`` over the parts, of matrices computed once per part.
     """
-    if uses_t(poly):
-        raise ValueError("the action is defined on the t-free ring")
     if ring_size(poly.ring) != family.n:
         raise ValueError(
             f"polynomial has {ring_size(poly.ring)} indices but the family has {family.n}"

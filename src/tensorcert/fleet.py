@@ -23,16 +23,6 @@ class FleetFamily:
     family: CommutingFamily
 
 
-def _mat(chart: Chart, rows) -> Endomorphism:
-    ring = chart.ring
-    out = []
-    for row in rows:
-        out.append(
-            tuple(e if isinstance(e, Polynomial) else ring.const(e) for e in row)
-        )
-    return Endomorphism(chart, out)
-
-
 def _blocks(chart: Chart, a=None, b=None, c=None, d=None) -> Endomorphism:
     """[[A, B], [C, D]] on (vector; form), an omitted block being zero."""
     z = [[chart.ring.zero] * chart.dim] * chart.dim
@@ -91,8 +81,8 @@ def build_fleet() -> list[FleetFamily]:
     u1 = c1.coordinate(1)
 
     # zero and identity-scaled families
-    add("zero-sym-n1", [Endomorphism.zero(c1)], "+")
-    add("zero-skew-n1", [Endomorphism.zero(c1)], "-")
+    add("zero-sym-n1", [_blocks(c1)], "+")
+    add("zero-skew-n1", [_blocks(c1)], "-")
     add("scaled-id-n1", [Endomorphism.identity(c1).scale(2), Endomorphism.identity(c1).scale(-3)], "++")
     add("scaled-id-n2", [Endomorphism.identity(c2).scale(Fraction(1, 2))], "+")
 
@@ -100,8 +90,8 @@ def build_fleet() -> list[FleetFamily]:
     d_skew = _diag_vv(c1, [1], sym=False)
     add("diag-skew-n1", [d_skew], "-")
     add("diag-mixed-n1", [_diag_vv(c1, [2], sym=True), d_skew], "+-")
-    add("form-valued-linear-n1", [_form_valued(c1, [[u1]]), _form_valued(c1, [[c1.scalar(3)]])], "++")
-    add("vector-valued-n1", [_vector_valued(c1, [[c1.scalar(1)]]), _vector_valued(c1, [[u1]])], "++")
+    add("form-valued-linear-n1", [_form_valued(c1, [[u1]]), _form_valued(c1, [[c1.ring.const(3)]])], "++")
+    add("vector-valued-n1", [_vector_valued(c1, [[c1.ring.one]]), _vector_valued(c1, [[u1]])], "++")
     add(
         "form-valued-quadratic-n1",
         [_form_valued(c1, [[u1 * u1]]), _diag_vv(c1, [5], sym=True)],
@@ -120,7 +110,7 @@ def build_fleet() -> list[FleetFamily]:
     skew_c = [[c2.ring.zero, u1_2], [-u1_2, c2.ring.zero]]
     add(
         "form-valued-skew-n2",
-        [_form_valued(c2, [[c2.ring.zero, c2.scalar(1)], [c2.scalar(-1), c2.ring.zero]]), _form_valued(c2, skew_c)],
+        [_form_valued(c2, [[c2.ring.zero, c2.ring.one], [-c2.ring.one, c2.ring.zero]]), _form_valued(c2, skew_c)],
         "--",
     )
     sym_c = [[u1_2, c2.coordinate(2)], [c2.coordinate(2), c2.ring.zero]]
@@ -140,7 +130,7 @@ def build_fleet() -> list[FleetFamily]:
     # generic non-integrable structures (nonzero torsion/quadratic tensors)
     z2, o2 = c2.ring.zero, c2.ring.one
     u2_2 = c2.coordinate(2)
-    generic_skew = _mat(
+    generic_skew = Endomorphism(
         c2,
         [
             [u1_2, z2, z2, u2_2],
@@ -150,7 +140,7 @@ def build_fleet() -> list[FleetFamily]:
         ],
     )
     add("generic-skew-n2", [generic_skew], "-")
-    generic_sym = _mat(
+    generic_sym = Endomorphism(
         c2,
         [
             [u2_2, z2, o2, z2],

@@ -33,18 +33,6 @@ from .poly import Coefficient, MonomialOrder, Polynomial, PolyRing
 from .xyz import Signature, ring_size, split_terms, uses_t, xyz_ring
 
 
-@dataclass(frozen=True)
-class AxisIdealTriple:
-    i_x: IdealPresentation
-    i_y: IdealPresentation
-    i_z: IdealPresentation
-    signature: Signature
-
-    def pair(self, letters: tuple[str, str]) -> tuple[IdealPresentation, IdealPresentation]:
-        by_letter = {"x": self.i_x, "y": self.i_y, "z": self.i_z}
-        return by_letter[letters[0]], by_letter[letters[1]]
-
-
 def axis_generator(letter: str, i: int, sig: Signature, ring: PolyRing) -> Polynomial:
     """The index-i generator of I^letter; T, P and F are products of these."""
     e = sig[i]
@@ -57,19 +45,15 @@ def axis_generator(letter: str, i: int, sig: Signature, ring: PolyRing) -> Polyn
     raise ValueError(f"bad axis letter {letter!r}")
 
 
-def build_axis_ideals(sig: Signature, order: MonomialOrder, ring: PolyRing | None = None) -> AxisIdealTriple:
-    """The three axis ideals, generators listed by index ascending."""
-    ring = ring if ring is not None else xyz_ring(sig.n)
-    gens = {
-        letter: tuple(axis_generator(letter, i, sig, ring) for i in range(1, sig.n + 1))
+def build_axis_ideals(sig: Signature, order: MonomialOrder) -> dict[str, IdealPresentation]:
+    """The axis ideals by letter, generators listed by index ascending."""
+    ring = xyz_ring(sig.n)
+    return {
+        letter: IdealPresentation(
+            tuple(axis_generator(letter, i, sig, ring) for i in range(1, sig.n + 1)), order
+        )
         for letter in "xyz"
     }
-    return AxisIdealTriple(
-        IdealPresentation(gens["x"], order),
-        IdealPresentation(gens["y"], order),
-        IdealPresentation(gens["z"], order),
-        sig,
-    )
 
 
 def generator_T(i: int, j: int, k: int, sig: Signature, ring: PolyRing | None = None) -> Polynomial:
@@ -110,7 +94,6 @@ class CandidateBasis:
 
     torsion_gens: tuple[Polynomial, ...]
     quadratic_gens: tuple[Polynomial, ...]
-    signature: Signature
 
     @property
     def members(self) -> tuple[Polynomial, ...]:
@@ -129,7 +112,7 @@ def candidate_basis(sig: Signature, ring: PolyRing | None = None) -> CandidateBa
         for i, j in itertools.combinations(range(1, n + 1), 2)
         if sig[i] == 1 and sig[j] == 1
     )
-    return CandidateBasis(torsions, quadratics, sig)
+    return CandidateBasis(torsions, quadratics)
 
 
 # -- the two non-Groebner oracles ----------------------------------------------
@@ -235,9 +218,9 @@ def product_ideal(i_pres: IdealPresentation, j_pres: IdealPresentation) -> Ideal
     return IdealPresentation(gens, i_pres.order)
 
 
-def knutson_F(sig: Signature, ring: PolyRing | None = None) -> Polynomial:
+def knutson_F(sig: Signature) -> Polynomial:
     """The splitting polynomial prod (x_i - e_i y_i)(y_i - e_i z_i) z_i."""
-    ring = ring if ring is not None else xyz_ring(sig.n)
+    ring = xyz_ring(sig.n)
     f = ring.one
     for i in range(1, sig.n + 1):
         f = f * axis_generator("z", i, sig, ring) * axis_generator("x", i, sig, ring)

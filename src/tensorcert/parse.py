@@ -25,6 +25,7 @@ VAR_LETTERS = "txyzu"
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.reason = message
         self.line = line
         self.col = col
 

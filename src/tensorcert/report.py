@@ -13,6 +13,7 @@ EXIT_FAILURES = 1
 EXIT_BUDGET = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as shells report a reader that went away
 
 
 @dataclass

@@ -147,7 +147,7 @@ def _seed(case_id: str) -> random.Random:
 def _j_ideal_factors(sig: Signature) -> tuple[IdealPresentation, IdealPresentation]:
     """I^x and the product I^y I^z, generators by increasing index."""
     axes = build_axis_ideals(sig, index_desc_order(sig.n))
-    return axes.i_x, product_ideal(axes.i_y, axes.i_z)
+    return axes["x"], product_ideal(axes["y"], axes["z"])
 
 
 def j_ideal_presentation(sig: Signature) -> IdealPresentation:
@@ -219,9 +219,9 @@ def gen_set_case(sig: Signature, budget_limit: int) -> CaseResult:
         case.details["initial_ideal_squarefree"] = sqfree
 
         if n <= 2:
-            axes = build_axis_ideals(sig, order, ring)
-            inner = intersect_pair(axes.i_y, axes.i_z, budget)
-            full = intersect_pair(axes.i_x, IdealPresentation(inner.elements, order), budget)
+            axes = build_axis_ideals(sig, order)
+            inner = intersect_pair(axes["y"], axes["z"], budget)
+            full = intersect_pair(axes["x"], IdealPresentation(inner.elements, order), budget)
             agreed = full.elements == intersection.elements
             case.check(
                 "double_elimination_cross_check", agreed, "double-elimination route disagrees"
@@ -244,8 +244,8 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
         ring = xyz_ring(n)
         for pair in PAIRS:
             order = pair_order(pair, n)
-            axes = build_axis_ideals(sig, order, ring)
-            first, second = axes.pair(pair)
+            axes = build_axis_ideals(sig, order)
+            first, second = (axes[w] for w in pair)
             product = product_ideal(first, second)
             product_gb = groebner_basis(product, budget)
             intersection = intersect_pair(first, second, budget)
@@ -268,7 +268,7 @@ def knutson_case(sig: Signature, budget_limit: int) -> CaseResult:
 
         # leading monomial of the splitting polynomial: the product of all vars
         order_xz = pair_order(("x", "z"), n)
-        f_xz = knutson_F(sig, ring)
+        f_xz = knutson_F(sig)
         expected = ring.monomial({f"{w}{i}": 1 for w in "xyz" for i in range(1, n + 1)})
         if not case.check("splitting_lead_is_all_vars", _lead(f_xz, order_xz) == expected):
             case.witnesses.append(render_polynomial(f_xz, order_xz))
@@ -296,8 +296,8 @@ def squeeze_case(n: int, budget_limit: int) -> CaseResult:
         budget = StepBudget(budget_limit)
         ring = xyz_ring(n)
         order = letter_block_order(n)
-        axes = build_axis_ideals(sig, order, ring)
-        products = {"".join(pair): product_ideal(*axes.pair(pair)).generators for pair in PAIRS}
+        axes = build_axis_ideals(sig, order)
+        products = {"".join(pair): product_ideal(*(axes[w] for w in pair)).generators for pair in PAIRS}
         products["yz"] += tuple(
             generator_P(i, j, sig, ring) for i, j in itertools.combinations(range(1, n + 1), 2)
         )

@@ -42,21 +42,9 @@ def ring_size(ring: PolyRing) -> int:
     return n
 
 
-def split_name(name: str) -> tuple[str, int]:
-    """'x12' -> ('x', 12); 't' -> ('t', 0)."""
-    if name == "t":
-        return ("t", 0)
-    return name[0], int(name[1:])
-
-
 def indices_of(f: Polynomial) -> set[int]:
     """Indices i with some x_i, y_i or z_i in the support (t ignored)."""
-    out = set()
-    for v in f.support_vars():
-        letter, i = split_name(v)
-        if letter != "t":
-            out.add(i)
-    return out
+    return {int(v[1:]) for v in f.support_vars() if v != "t"}
 
 
 def uses_t(f: Polynomial) -> bool:

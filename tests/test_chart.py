@@ -1,5 +1,6 @@
 """Charts, sections, endomorphisms, adjoints, and family validation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,17 @@ class TestFamilies:
         phi1, phi2 = family.members
         assert family.power_endo((2, 1)) == phi1.compose(phi1).compose(phi2)
         assert family.power_endo((0, 0)) == Endomorphism.identity(family.chart)
+
+    def test_power_endo_is_the_product_of_member_powers(self):
+        for entry in build_fleet():
+            family = entry.family
+            identity = Endomorphism.identity(family.chart)
+            for exponents in itertools.product(range(3), repeat=family.n):
+                expected = identity
+                for member, e in zip(family.members, exponents):
+                    for _ in range(e):
+                        expected = reference_compose(expected, member)
+                assert family.power_endo(exponents) == expected, (entry.name, exponents)
 
     def test_fleet_members_all_validate(self):
         # construction re-checks symmetry and commutation for every fixture

@@ -70,7 +70,7 @@ class TestInnerProduct:
     def test_vector_form_pairing(self):
         chart = Chart(1)
         pairing = inner_product(basis_vector(chart, 1), basis_form(chart, 1))
-        assert pairing == chart.scalar(Fraction(1, 2))
+        assert pairing == chart.ring.const(Fraction(1, 2))
 
     def test_vectors_pair_to_zero(self):
         chart = Chart(2)
@@ -156,7 +156,7 @@ class TestCourantElement:
         tau = courant_element(chart)
         a = basis_vector(chart, 1)
         b = basis_form(chart, 1).scale(chart.coordinate(1))
-        assert tau(a, b, a) == chart.scalar(Fraction(1, 2))
+        assert tau(a, b, a) == chart.ring.const(Fraction(1, 2))
 
     def test_constant_vector_only_sections(self):
         chart = Chart(2)

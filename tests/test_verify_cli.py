@@ -1,6 +1,7 @@
 """Suite verifiers, report schema, CLI contract, and determinism."""
 
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -99,7 +100,7 @@ class TestVerifiers:
         from tensorcert.xyz import xyz_ring
 
         def torsions_only(sig, ring=None):
-            return CandidateBasis(candidate_basis(sig, ring).torsion_gens, (), sig)
+            return CandidateBasis(candidate_basis(sig, ring).torsion_gens, ())
 
         monkeypatch.setattr(verify, "candidate_basis", torsions_only)
         case = gen_set_case(Signature((1, 1)), BUDGET)
@@ -116,7 +117,7 @@ class TestVerifiers:
         def with_x1(sig, ring=None):
             cand = candidate_basis(sig, ring)
             extra = (cand.torsion_gens[0].ring.var("x1"),)
-            return CandidateBasis(cand.torsion_gens, cand.quadratic_gens + extra, sig)
+            return CandidateBasis(cand.torsion_gens, cand.quadratic_gens + extra)
 
         monkeypatch.setattr(verify, "candidate_basis", with_x1)
         case = gen_set_case(Signature((1, 1)), BUDGET)
@@ -141,8 +142,9 @@ class TestFailurePaths:
 
     def test_knutson_names_wrong_splitting_lead(self, monkeypatch):
         import tensorcert.verify as verify
+        from tensorcert.xyz import xyz_ring
 
-        monkeypatch.setattr(verify, "knutson_F", lambda sig, ring: ring.var("x1"))
+        monkeypatch.setattr(verify, "knutson_F", lambda sig: xyz_ring(sig.n).var("x1"))
         case = knutson_case(Signature((1,)), BUDGET)
         assert case.status == "fail"
         assert [k for k, v in case.details.items() if not v] == ["splitting_lead_is_all_vars"]
@@ -154,7 +156,7 @@ class TestFailurePaths:
 
         def drop_first_torsion(sig, ring=None):
             cand = candidate_basis(sig, ring)
-            return CandidateBasis(cand.torsion_gens[1:], cand.quadratic_gens, sig)
+            return CandidateBasis(cand.torsion_gens[1:], cand.quadratic_gens)
 
         monkeypatch.setattr(verify, "candidate_basis", drop_first_torsion)
         case = squeeze_case(2, BUDGET)
@@ -478,6 +480,42 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["y1 - z1", "x1 - z1"]
+
+    def test_gb_parse_error_names_the_file_line(self, tmp_path, capsys):
+        ideal = tmp_path / "bad.txt"
+        ideal.write_text("# two generators\nx1 - y1\n\n# and a typo\nx1 + + y1\n")
+        assert main(["gb", "--ideal", str(ideal)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {ideal}: expected a factor (line 5, column 6)\n"
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # about 90 KB, more than a pipe holds, so writing outlives the reader
+            (["gens", "--n", "10", "--sig", "+" * 10], 1),
+            (["certify", "--suite", "squeeze", "--n", "1", "--format", "text"], 0),
+        ],
+    )
+    def test_closed_stdout_exits_141_without_traceback(self, argv, lines_read):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)  # the block-buffered stdout a pipe gets
+        read_end, write_end = os.pipe()
+        reader = os.fdopen(read_end, "rb", buffering=0)
+        if not lines_read:  # the reader is gone before the first write
+            reader.close()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tensorcert.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_end)
+        for _ in range(lines_read):
+            assert reader.readline().endswith(b"\n")
+        reader.close()
+        err = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 141
+        assert "Traceback" not in err and "BrokenPipe" not in err
 
     def test_intersect_command(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
