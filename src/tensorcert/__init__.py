@@ -38,7 +38,6 @@ from .groebner import (
     groebner_basis,
     initial_ideal,
     membership,
-    normal_form,
     reduce_basis,
 )
 from .ideals import (

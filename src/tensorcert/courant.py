@@ -23,7 +23,6 @@ so a remembered bracket is the exact bracket.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
@@ -40,7 +39,7 @@ def inner_product(a: GeneralizedSection, b: GeneralizedSection) -> Polynomial:
     """The tautological pairing (alpha(Y) + beta(X)) / 2."""
     _check_chart(a, b)
     pairs = chain(zip(a.form, b.vector), zip(b.form, a.vector))
-    return dot(a.chart.ring, pairs).scale(Fraction(1, 2))
+    return dot(a.chart.ring, pairs).halve()
 
 
 def _jacobian(comps: Vector, dim: int) -> list[list[Polynomial]]:

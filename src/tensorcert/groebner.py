@@ -6,6 +6,10 @@ against the current list in list order, and nonzero remainders are appended
 monic at the tail.  Pairs whose leading monomials are coprime are always
 skipped, because their S-polynomials reduce to zero (Buchberger's first
 criterion); ``buchberger_criterion`` stays the honest all-pairs check.
+Division has one kernel, which hands out the remainder's terms largest first;
+a term leaves the dividend only once no leading monomial divides it, and no
+later step reaches it again.  So ``membership`` decides at the first
+irreducible term and never builds the rest of the remainder.
 ``groebner_basis`` is the one entry point: Buchberger followed by reduction
 to the reduced basis, which is canonical for (ideal, order).  The engine
 works for any ring and any ranked lex order; it knows no auxiliary
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .poly import (
     Coefficient,
@@ -182,15 +187,19 @@ class _Aligned:
         self.lc = terms[self.lm]
 
 
-def _divide_aligned(
+def _remainder_terms(
     p_terms: dict[int, Coefficient],
     divisors: list[_Aligned],
     budget: StepBudget,
     guard: int,
-) -> dict[int, Coefficient]:
-    """The remainder of p, restarting from the first divisor after each step."""
+) -> Iterator[tuple[int, Coefficient]]:
+    """The remainder of p term by term, largest first, restarting from the
+    first divisor after each step.
+
+    A term is yielded once no leading monomial divides it; every later step
+    only touches smaller monomials, so a yielded term is final.
+    """
     p = dict(p_terms)
-    remainder: dict[int, Coefficient] = {}
     get = p.get
     while p:
         m = max(p)
@@ -210,9 +219,18 @@ def _divide_aligned(
                     del p[key]
             break
         else:
-            remainder[m] = c
+            yield m, c
             del p[m]
-    return remainder
+
+
+def _divide_aligned(
+    p_terms: dict[int, Coefficient],
+    divisors: list[_Aligned],
+    budget: StepBudget,
+    guard: int,
+) -> dict[int, Coefficient]:
+    """The whole remainder of p, keyed largest first."""
+    return dict(_remainder_terms(p_terms, divisors, budget, guard))
 
 
 def _s_poly_aligned(
@@ -254,28 +272,20 @@ def _monic_aligned(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
 # -- public operations --------------------------------------------------------
 
 
-def normal_form(
-    f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None
-) -> Polynomial:
-    """The remainder of f on division by the basis elements in list order.
+def membership(f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None) -> bool:
+    """Ideal membership via the remainder-zero test against a Groebner basis.
 
-    No leading monomial of an element divides any term of the result.  The
-    division restarts from the first element after every reduction step.
+    Decided at the first remainder term: f is a member iff none comes out.
     """
+    if f.is_zero():
+        return True
     packing, divisors = basis._divisors
     if f.ring != packing.ring:
         raise ValueError("dividend and divisors must share a ring")
-    remainder = _divide_aligned(
+    remainder = _remainder_terms(
         packing.align(f), divisors, step_budget or StepBudget(), packing.guard
     )
-    return packing.unalign(remainder)
-
-
-def membership(f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None) -> bool:
-    """Ideal membership via the remainder-zero test against a Groebner basis."""
-    if f.is_zero():
-        return True
-    return normal_form(f, basis, step_budget).is_zero()
+    return next(remainder, None) is None
 
 
 def buchberger(

@@ -7,7 +7,10 @@ For a signature eps the three axis ideals are
 and the universally tensorial ideal is their intersection.  Membership in it
 has two independent oracles besides Groebner membership: a linear system on
 the coefficient tensor, and vanishing on the three linear subvarieties, each
-reached by a signed renaming of one letter.
+reached by a signed renaming of one letter.  Both read the exponent split
+x^I y^J z^K once, and take every sign eps^E from the parity of E's skew
+exponents: the variety oracle maps each term to its signed image in one dict
+pass per subvariety, with no intermediate polynomial.
 
 Intersections use the t-trick, I cap J = (tI + (1-t)J) cap Q[x, y, z], and
 this module owns both halves of it and its order: ``scale_into_t_ring`` ranks
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .groebner import (
     GroebnerBasis,
@@ -118,6 +122,15 @@ def candidate_basis(sig: Signature, ring: PolyRing | None = None) -> CandidateBa
 # -- the two non-Groebner oracles ----------------------------------------------
 
 
+def _skew_positions(f: Polynomial, sig: Signature) -> list[int]:
+    """The 0-based positions of sig's skew entries; eps^E = -1 iff the
+    exponents of E at them have an odd sum.  sig must match f's N."""
+    n = ring_size(f.ring)
+    if n != sig.n:
+        raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
+    return [i for i, e in enumerate(sig) if e == -1]
+
+
 def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     """Check the three families of linear equations on the coefficient tensor
     a_{I,J,K} of x^I y^J z^K:
@@ -125,22 +138,17 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     sum_J eps^J a_{I,J,T-J} = 0,  sum_J eps^J a_{J,T-J,I} = 0,
     sum_J eps^J a_{T-J,I,J} = 0   for all (I, T).
     """
+    skew = _skew_positions(f, sig)
     buckets: dict[tuple, Coefficient] = {}
+    get = buckets.get
     for I, J, K, a in split_terms(f):
-        t_jk = tuple(p + q for p, q in zip(J, K))
-        t_ij = tuple(p + q for p, q in zip(I, J))
-        t_ik = tuple(p + q for p, q in zip(I, K))
-        for key, coeff in (
-            ((0, I, t_jk), sig.power(J) * a),  # a_{I, J, T-J} with J = J
-            ((1, K, t_ij), sig.power(I) * a),  # a_{J, T-J, I}: J = I, I = K
-            ((2, J, t_ik), sig.power(K) * a),  # a_{T-J, I, J}: J = K, I = J
+        for key, E in (
+            ((0, I, tuple(map(add, J, K))), J),  # a_{I, J, T-J} with J = J
+            ((1, K, tuple(map(add, I, J))), I),  # a_{J, T-J, I}: J = I, I = K
+            ((2, J, tuple(map(add, I, K))), K),  # a_{T-J, I, J}: J = K, I = J
         ):
-            s = buckets.get(key, 0) + coeff
-            if s:
-                buckets[key] = s
-            else:
-                buckets.pop(key, None)
-    return not buckets
+            buckets[key] = get(key, 0) + (-a if sum([E[i] for i in skew]) & 1 else a)
+    return not any(buckets.values())
 
 
 def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
@@ -148,19 +156,22 @@ def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
     z = diag(eps) x and x = diag(eps) y.
 
     Each substitution sends a variable to a signed variable, so it maps a
-    term to a single term: flip its sign by eps^E, E the exponents of the
-    substituted letter, then rename that letter.
+    term to a single term: y = diag(eps) z sends a x^I y^J z^K to
+    eps^J a x^I z^(J+K), and the other two likewise.  The sign eps^J is the
+    parity of J's skew exponents, and each substitution is one pass that
+    sums the signed coefficients by image monomial.
     """
-    if uses_t(f):
-        raise ValueError("variety test undefined for t-dependent polynomials")
-    ring = f.ring
-    for src, dst in (("y", "z"), ("z", "x"), ("x", "y")):
-        names = [f"{src}{i}" for i in range(1, sig.n + 1)]
-        positions = [ring.index(v) for v in names]
-        signed = ring.from_terms(
-            {m: sig.power(m[p] for p in positions) * c for m, c in f.terms()}
-        )
-        if not signed.rename({v: dst + v[1:] for v in names}).is_zero():
+    skew = _skew_positions(f, sig)
+    terms = split_terms(f)
+    # (substituted, untouched, receiving) positions in (I, J, K)
+    for src, keep, dst in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
+        image: dict[tuple, Coefficient] = {}
+        get = image.get
+        for term in terms:
+            E, a = term[src], term[3]
+            key = (term[keep], tuple(map(add, E, term[dst])))
+            image[key] = get(key, 0) + (-a if sum([E[i] for i in skew]) & 1 else a)
+        if any(image.values()):
             return False
     return True
 

@@ -232,6 +232,20 @@ class Polynomial:
             return self.ring.zero
         return Polynomial(self.ring, {m: _norm(k * c) for m, k in self._terms.items()})
 
+    def halve(self) -> Polynomial:
+        """self / 2, with no Fraction arithmetic on an integral coefficient.
+
+        An even int halves to an int and an odd one to a Fraction; a reduced
+        Fraction's half is again reduced and never integral.
+        """
+        return Polynomial(
+            self.ring,
+            {
+                m: (Fraction(c, 2) if c & 1 else c // 2) if type(c) is int else c / 2
+                for m, c in self._terms.items()
+            },
+        )
+
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power")

@@ -48,19 +48,29 @@ def indices_of(f: Polynomial) -> set[int]:
 
 
 def uses_t(f: Polynomial) -> bool:
-    return "t" in f.support_vars()
+    ring = f.ring
+    if "t" not in ring:
+        return False
+    t = ring.index("t")
+    return any(m[t] for m, _ in f.terms())
 
 
 def split_terms(f: Polynomial) -> list[tuple[Exponents, Exponents, Exponents, Coefficient]]:
-    """(I, J, K, coefficient) for every term x^I y^J z^K of a t-free polynomial."""
+    """(I, J, K, coefficient) for every term x^I y^J z^K of a t-free polynomial.
+
+    Relies on the layout of ``xyz_ring``: t first if present, then the x, y
+    and z blocks, each by index ascending, so I, J and K are slices.
+    """
     if uses_t(f):
         raise ValueError("the x^I y^J z^K split is undefined for t-dependent polynomials")
     ring = f.ring
     n = ring_size(ring)
-    blocks = [[ring.index(f"{w}{i}") for i in range(1, n + 1)] for w in LETTERS]
-    return [
-        (*(tuple(m[p] for p in block) for block in blocks), c) for m, c in f.terms()
-    ]
+    with_t = "t" in ring
+    if ring != xyz_ring(n, with_t):
+        raise ValueError(f"{ring!r} does not have the xyz ring layout")
+    x = int(with_t)
+    y, z = x + n, x + 2 * n
+    return [(m[x:y], m[y:z], m[z:], c) for m, c in f.terms()]
 
 
 # -- signatures ---------------------------------------------------------------

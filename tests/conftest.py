@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from tensorcert import groebner
 from tensorcert.chart import Chart, Endomorphism, GeneralizedSection
-from tensorcert.poly import MonomialOrder, Polynomial, PolyRing, leading_term
+from tensorcert.groebner import GroebnerBasis, StepBudget
+from tensorcert.poly import Coefficient, MonomialOrder, Polynomial, PolyRing, leading_term
 from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
 
 
@@ -74,6 +76,63 @@ def substitute(f: Polynomial, assignment: dict, ring: PolyRing | None = None) ->
                 term = term * (assignment[v] if v in assignment else ring.var(v)) ** e
         out = out + term
     return out
+
+
+def normal_form(
+    f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None
+) -> Polynomial:
+    """The whole remainder of f on division by the basis elements in list order.
+
+    No leading monomial of an element divides any term of the result.  The
+    division restarts from the first element after every reduction step.
+    """
+    packing, divisors = basis._divisors
+    if f.ring != packing.ring:
+        raise ValueError("dividend and divisors must share a ring")
+    remainder = groebner._divide_aligned(
+        packing.align(f), divisors, step_budget or StepBudget(), packing.guard
+    )
+    return packing.unalign(remainder)
+
+
+# -- references for the three oracles of oracle-equiv --------------------------
+
+
+def membership_by_normal_form(
+    f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | None = None
+) -> bool:
+    """Reference: the whole remainder is zero."""
+    return f.is_zero() or normal_form(f, basis, step_budget).is_zero()
+
+
+def linear_by_power(f: Polynomial, sig: Signature) -> bool:
+    """Reference: the three equation families on a_{I,J,K}, signs by
+    ``Signature.power``."""
+    buckets: dict[tuple, Coefficient] = {}
+    for I, J, K, a in split_terms(f):
+        t_jk = tuple(p + q for p, q in zip(J, K))
+        t_ij = tuple(p + q for p, q in zip(I, J))
+        t_ik = tuple(p + q for p, q in zip(I, K))
+        for key, coeff in (
+            ((0, I, t_jk), sig.power(J) * a),
+            ((1, K, t_ij), sig.power(I) * a),
+            ((2, J, t_ik), sig.power(K) * a),
+        ):
+            buckets[key] = buckets.get(key, 0) + coeff
+    return not any(buckets.values())
+
+
+def variety_by_substitution(f: Polynomial, sig: Signature) -> bool:
+    """Reference: compose with y = eps z, z = eps x and x = eps y in turn."""
+    ring = f.ring
+    for src, dst in (("y", "z"), ("z", "x"), ("x", "y")):
+        sub = {
+            f"{src}{i}": ring.monomial({f"{dst}{i}": 1}, sig[i])
+            for i in range(1, sig.n + 1)
+        }
+        if not substitute(f, sub, ring=ring).is_zero():
+            return False
+    return True
 
 
 def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:

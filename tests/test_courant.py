@@ -1,6 +1,7 @@
 """Courant-algebroid axioms, the polynomial action, and the derived tensors."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -33,6 +34,7 @@ from tensorcert.courant import (
 from tensorcert.fleet import build_fleet
 from tensorcert.ideals import candidate_basis, generator_P, generator_T, vanishes_on_variety
 from tensorcert.parse import parse_polynomial
+from tensorcert.poly import dot
 from tensorcert.verify import random_polynomial, random_section
 from tensorcert.xyz import (
     Signature,
@@ -82,6 +84,20 @@ class TestInnerProduct:
         for _ in range(20):
             a, b = rnd_section(rng, chart), rnd_section(rng, chart)
             assert inner_product(a, b) == inner_product(b, a)
+
+    def test_halving_matches_the_fraction_product(self):
+        rng = seeded("pairing-halving")
+        for name, family in sorted(FLEET.items()):
+            ring = family.chart.ring
+            for _ in range(3):
+                a, b = random_section(rng, family), random_section(rng, family)
+                for left in (a, a.scale(Fraction(1, 3))):
+                    pairs = chain(zip(left.form, b.vector), zip(b.form, left.vector))
+                    expected = dot(ring, pairs).scale(Fraction(1, 2))
+                    got = inner_product(left, b)
+                    assert got == expected, name
+                    types = {m: type(c) for m, c in got.terms()}
+                    assert types == {m: type(c) for m, c in expected.terms()}, name
 
 
 class TestCourantBracket:

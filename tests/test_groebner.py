@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monic, nonzero_polynomials, polynomials, seeded
+from conftest import monic, nonzero_polynomials, normal_form, polynomials, seeded
 from tensorcert import groebner
 from tensorcert.groebner import (
     BudgetExceededError,
@@ -23,7 +23,6 @@ from tensorcert.groebner import (
     groebner_basis,
     initial_ideal,
     membership,
-    normal_form,
     reduce_basis,
 )
 from tensorcert.ideals import eliminate, intersect_pair
@@ -225,6 +224,14 @@ class TestMembership:
     def test_degree_obstruction(self):
         basis = groebner_basis(pres(["x1*y1"]))
         assert not membership(p("x1"), basis)
+
+    def test_decided_at_the_first_irreducible_term(self):
+        basis = groebner_basis(pres(["y1"]))
+        f = p("x1 + y1*z1")  # x1 leads and is irreducible; y1*z1 reduces
+        early, full = StepBudget(), StepBudget()
+        assert not membership(f, basis, early)
+        assert normal_form(f, basis, full) == p("x1")
+        assert (early.used, full.used) == (0, 1)
 
     @given(
         c1=polynomials(R1, max_terms=2),

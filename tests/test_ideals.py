@@ -1,14 +1,26 @@
 """Axis ideals, the T/P generators, membership oracles, and intersections."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monic, multidegree_components, polynomials, seeded, substitute
+from conftest import (
+    monic,
+    multidegree_components,
+    polynomials,
+    linear_by_power,
+    membership_by_normal_form,
+    normal_form,
+    seeded,
+    substitute,
+    variety_by_substitution,
+)
 from tensorcert.groebner import (
     IdealPresentation,
+    StepBudget,
     buchberger,
     groebner_basis,
     membership,
@@ -296,19 +308,6 @@ def test_reduced_basis_equality_matches_mutual_membership(data):
     assert (gb_a.elements == gb_b.elements) == mutual
 
 
-def variety_by_substitution(f, sig):
-    """Reference: compose with y = eps z, z = eps x and x = eps y in turn."""
-    ring = f.ring
-    for src, dst in (("y", "z"), ("z", "x"), ("x", "y")):
-        sub = {
-            f"{src}{i}": ring.monomial({f"{dst}{i}": 1}, sig[i])
-            for i in range(1, sig.n + 1)
-        }
-        if not substitute(f, sub, ring=ring).is_zero():
-            return False
-    return True
-
-
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_signed_rename_variety_matches_substitution(data):
@@ -323,3 +322,60 @@ def test_signed_rename_variety_matches_substitution(data):
     if data.draw(st.booleans()):
         f = f * data.draw(st.sampled_from(factors))
     assert vanishes_on_variety(f, sig) == variety_by_substitution(f, sig)
+
+
+SIGNATURES_UP_TO_3 = [sig for n in (1, 2, 3) for sig in Signature.sweep(n)]
+
+
+@functools.cache
+def basis_of(sig):
+    return tensorial_ideal_basis(sig)
+
+
+@st.composite
+def oracle_samples(draw):
+    """(sig, f) over the 14 signatures with N <= 3: f is a random polynomial
+    or a random combination of the T/P generators, so a member."""
+    sig = draw(st.sampled_from(SIGNATURES_UP_TO_3))
+    ring = xyz_ring(sig.n)
+    if draw(st.booleans()):
+        return sig, draw(polynomials(ring, max_terms=6))
+    members = candidate_basis(sig, ring).members
+    f = ring.zero
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(polynomials(ring, max_terms=2, max_exp=1))
+        f = f + factor * draw(st.sampled_from(members))
+    return sig, f
+
+
+@given(sample=oracle_samples())
+@settings(max_examples=150, deadline=None)
+def test_oracles_match_their_references(sample):
+    sig, f = sample
+    basis = basis_of(sig)
+    assert is_universally_tensorial_linear(f, sig) == linear_by_power(f, sig)
+    assert vanishes_on_variety(f, sig) == variety_by_substitution(f, sig)
+    assert membership(f, basis) == membership_by_normal_form(f, basis)
+
+
+@given(sample=oracle_samples())
+@settings(max_examples=60, deadline=None)
+def test_early_exit_membership_never_outspends_the_full_division(sample):
+    sig, f = sample
+    basis = basis_of(sig)
+    early, full = StepBudget(), StepBudget()
+    assert membership(f, basis, early) == normal_form(f, basis, full).is_zero()
+    assert early.used <= full.used
+
+
+@pytest.mark.parametrize(
+    "f, sig",
+    [
+        (generator_T(1, 1, 1, PLUS1), Signature((1, 1))),
+        (generator_T(1, 2, 1, Signature((1, 1))), PLUS1),
+    ],
+)
+def test_oracles_refuse_a_signature_of_another_length(f, sig):
+    for oracle in (is_universally_tensorial_linear, vanishes_on_variety):
+        with pytest.raises(ValueError, match="indices but the signature has"):
+            oracle(f, sig)

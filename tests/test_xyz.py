@@ -17,7 +17,8 @@ from conftest import (
 )
 from tensorcert.ideals import generator_T
 from tensorcert.parse import parse_polynomial
-from tensorcert.xyz import Signature, xyz_ring
+from tensorcert.poly import PolyRing
+from tensorcert.xyz import Signature, split_terms, uses_t, xyz_ring
 
 R1 = xyz_ring(1)
 R2 = xyz_ring(2)
@@ -53,6 +54,28 @@ class TestSignature:
         sig = Signature.parse("+-")
         assert sig.power((0, 1)) == -1
         assert sig.power((2, 2)) == 1
+
+
+class TestSplitTerms:
+    def test_blocks_with_and_without_t(self):
+        f = p(R2, "3*x1*y2^2*z1 - x2")
+        expected = [((1, 0), (0, 2), (1, 0), 3), ((0, 1), (0, 0), (0, 0), -1)]
+        assert sorted(split_terms(f)) == sorted(expected)
+        t_free = f.map_ring(xyz_ring(2, with_t=True))
+        assert not uses_t(t_free)
+        assert sorted(split_terms(t_free)) == sorted(expected)
+
+    def test_t_dependent_polynomial_refused(self):
+        rt = xyz_ring(1, with_t=True)
+        f = rt.var("t") * rt.var("x1")
+        assert uses_t(f) and not uses_t(p(R1, "x1"))
+        with pytest.raises(ValueError):
+            split_terms(f)
+
+    def test_foreign_layout_refused(self):
+        ring = PolyRing(["y1", "x1", "z1"])
+        with pytest.raises(ValueError, match="layout"):
+            split_terms(ring.var("x1"))
 
 
 class TestMultidegree:
