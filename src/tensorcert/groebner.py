@@ -66,6 +66,12 @@ class StepBudget:
         if self.used > self.limit:
             raise BudgetExceededError(self.limit)
 
+    def charge(self, steps: int) -> None:
+        """Count ``steps`` taken once before, for work whose result is reused."""
+        self.used += steps
+        if self.used > self.limit:
+            raise BudgetExceededError(self.limit)
+
 
 def _check_generators(generators: tuple[Polynomial, ...]) -> None:
     if any(g.is_zero() for g in generators):
@@ -158,8 +164,17 @@ class _Packing:
         return tuple(packed >> (k * _FIELD_BITS) & mask for k in reversed(range(self.nvars)))
 
     def align(self, f: Polynomial) -> dict[int, Coefficient]:
+        """f's terms by packed monomial: one pass and one cap check per monomial."""
         positions = self.positions
-        return {self._pack(tuple(m[p] for p in positions)): c for m, c in f.terms()}
+        out = {}
+        for m, c in f.terms():
+            if max(m) >= EXPONENT_CAP:
+                self._pack(tuple(m[p] for p in positions))  # raises, naming it
+            packed = 0
+            for p in positions:
+                packed = packed << _FIELD_BITS | m[p]
+            out[packed] = c
+        return out
 
     def unalign(self, terms: dict[int, Coefficient]) -> Polynomial:
         exps = [0] * self.nvars

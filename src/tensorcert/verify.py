@@ -2,7 +2,9 @@
 
 Every verifier is a pure function of its inputs (random sampling is seeded
 from the case id), so cases can run concurrently and reports are reproducible
-modulo wall-clock fields.
+modulo wall-clock fields.  The one memo, oracle-equiv's basis per orbit of
+signatures (``_orbit_basis``), keeps this: a hit charges the steps the basis
+first cost, so a case's status does not depend on what ran before it.
 
 A verifier only states its checks.  It opens its record with ``_case``, one
 runner that builds the ``CaseResult``, times the body into ``wall_time_ms``
@@ -64,6 +66,7 @@ from .ideals import (
 from .parse import render_polynomial
 from .poly import MonomialOrder, Polynomial, leading_term
 from .xyz import (
+    LETTERS,
     Signature,
     index_desc_order,
     indices_of,
@@ -162,6 +165,40 @@ def j_ideal_presentation(sig: Signature) -> IdealPresentation:
 def tensorial_ideal_basis(sig: Signature, budget: StepBudget | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the triple intersection, via the t-trick."""
     return intersect_pair(*_j_ideal_factors(sig), budget)
+
+
+# orbit representative -> (its t-trick basis, the steps that basis cost)
+_ORBIT_BASES: dict[Signature, tuple[GroebnerBasis, int]] = {}
+
+
+def _orbit_basis(sig: Signature, budget: StepBudget) -> GroebnerBasis:
+    """A Groebner basis of I_sig, renamed from one basis per index orbit.
+
+    I_eps is built index by index, so renumbering the indices by a
+    permutation maps I_eps onto the ideal of the permuted signature.  The
+    orbit's representative lists the symmetric indices first (a stable
+    sort); its reduced t-trick basis is computed once and memoised with the
+    steps it cost, and a memo hit charges those steps to ``budget`` again.
+    Renaming the representative's index k to the k-th index of that sort
+    gives a reduced basis of I_sig under the renamed lex order.
+    """
+    perm = sorted(range(1, sig.n + 1), key=lambda i: sig[i] == -1)
+    rep = Signature(tuple(sig[i] for i in perm))
+    memo = _ORBIT_BASES.get(rep)
+    if memo is None:
+        before = budget.used
+        basis = tensorial_ideal_basis(rep, budget)
+        _ORBIT_BASES[rep] = basis, budget.used - before
+    else:
+        basis, steps = memo
+        budget.charge(steps)
+    if rep == sig:
+        return basis
+    mapping = {f"{w}{k}": f"{w}{i}" for k, i in enumerate(perm, 1) for w in LETTERS}
+    return GroebnerBasis(
+        tuple(g.rename(mapping) for g in basis.elements),
+        MonomialOrder(tuple(mapping[v] for v in basis.order.ranking)),
+    )
 
 
 def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
@@ -356,14 +393,16 @@ def _monomial_witnesses(ring, left: MonomialIdeal, right: MonomialIdeal) -> list
 
 def random_polynomial(rng: random.Random, ring, n: int, max_terms: int = 6) -> Polynomial:
     """Random sparse polynomial with per-index multidegree at most 2."""
+    # the x, y and z positions of each index
+    positions = [[ring.index(f"{w}{i}") for w in LETTERS] for i in range(1, n + 1)]
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * ring.nvars
-        for i in range(1, n + 1):
+        for index in positions:
             budget = 2
-            for w in "xyz":
+            for pos in index:
                 e = rng.randint(0, budget)
-                exps[ring.index(f"{w}{i}")] = e
+                exps[pos] = e
                 budget -= e
         coeff = rng.randint(-3, 3)
         if coeff:
@@ -373,14 +412,19 @@ def random_polynomial(rng: random.Random, ring, n: int, max_terms: int = 6) -> P
 
 
 def oracle_equivalence_case(sig: Signature, budget_limit: int) -> CaseResult:
-    """linear-system test == variety-vanishing test == Groebner membership."""
+    """linear-system test == variety-vanishing test == Groebner membership.
+
+    Membership runs against ``_orbit_basis``, a basis of the ideal under a
+    relabelled lex order; membership does not depend on the order, and
+    witnesses are rendered under ``index_desc_order`` whichever basis ran.
+    """
     n = sig.n
     claim = "the linear-system, variety-vanishing and Groebner-membership tests agree"
     with _case("oracle-equiv", f"N{n}/{sig}", claim, sig) as case:
         budget = StepBudget(budget_limit)
         rng = _seed(case.case_id)
         ring = xyz_ring(n)
-        basis = tensorial_ideal_basis(sig, budget)
+        basis = _orbit_basis(sig, budget)
         cand = candidate_basis(sig, ring)
         pool: list[Polynomial] = list(cand.members)
         while len(pool) < ORACLE_SAMPLES + len(cand.members):
@@ -405,7 +449,7 @@ def oracle_equivalence_case(sig: Signature, budget_limit: int) -> CaseResult:
                 agreements += 1
             else:
                 case.status = "fail"
-                case.witnesses.append(render_polynomial(sample, basis.order))
+                case.witnesses.append(render_polynomial(sample, index_desc_order(n)))
                 case.details.setdefault("disagreements", []).append(
                     {"linear": linear, "variety": variety, "membership": member}
                 )

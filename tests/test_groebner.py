@@ -140,6 +140,30 @@ class TestDivision:
         assert len(calls) == len(basis.elements) + len(queries)
 
 
+class TestPacking:
+    @given(f=polynomials(xyz_ring(2)))
+    @settings(max_examples=60, deadline=None)
+    def test_align_packs_the_highest_ranked_variable_first(self, f):
+        order = index_desc_order(2)
+        packing = groebner._Packing(order, f.ring)
+        positions = order.positions(f.ring)
+        last = len(positions) - 1
+        expected = {
+            sum(m[pos] << 64 * (last - k) for k, pos in enumerate(positions)): c
+            for m, c in f.terms()
+        }
+        assert packing.align(f) == expected
+        assert packing.unalign(expected) == f
+
+    def test_align_names_the_highest_ranked_exponent_at_the_cap(self):
+        cap = groebner.EXPONENT_CAP
+        packing = groebner._Packing(MonomialOrder(("z1", "y1", "x1")), R1)
+        below = p(f"x1^{cap - 1}*z1 - y1")
+        assert packing.unalign(packing.align(below)) == below
+        with pytest.raises(ValueError, match=f"^exponent {cap} too large for the packed representation$"):
+            packing.align(p(f"x1^{cap + 1}*z1^{cap} - y1"))
+
+
 class TestBuchberger:
     def test_worked_example_gains_y_minus_z(self):
         basis = buchberger(pres(["x1 - y1", "x1 - z1"]))

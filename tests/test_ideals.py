@@ -12,6 +12,7 @@ from conftest import (
     multidegree_components,
     polynomials,
     linear_by_power,
+    relabel_indices,
     membership_by_normal_form,
     normal_form,
     seeded,
@@ -22,6 +23,7 @@ from tensorcert.groebner import (
     IdealPresentation,
     StepBudget,
     buchberger,
+    buchberger_criterion,
     groebner_basis,
     membership,
     reduce_basis,
@@ -38,9 +40,9 @@ from tensorcert.ideals import (
     product_ideal,
     vanishes_on_variety,
 )
-from tensorcert.parse import parse_polynomial
+from tensorcert.parse import parse_polynomial, render_polynomial
 from tensorcert.poly import leading_term
-from tensorcert.verify import random_polynomial, tensorial_ideal_basis
+from tensorcert.verify import _orbit_basis, random_polynomial, tensorial_ideal_basis
 from tensorcert.xyz import (
     Signature,
     index_desc_order,
@@ -346,6 +348,34 @@ def oracle_samples(draw):
         factor = draw(polynomials(ring, max_terms=2, max_exp=1))
         f = f + factor * draw(st.sampled_from(members))
     return sig, f
+
+
+def test_random_polynomial_draws_are_pinned():
+    # every oracle-equiv pool, and so every golden report, rests on these draws
+    rng = seeded("random-polynomial-draws")
+    drawn = [random_polynomial(rng, R2, 2, max_terms=3) for _ in range(3)]
+    assert [render_polynomial(f) for f in drawn] == [
+        "-x1^2*x2^2",
+        "3*x1*x2^2*y1 + x1*x2^2",
+        "x1*x2^2*y1 - x2*z1*z2",
+    ]
+    assert rng.random() == 0.5106819263043376
+
+
+@pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3, ids=str)
+def test_orbit_basis_generates_the_ideal(sig):
+    orbit = _orbit_basis(sig, StepBudget())
+    own = basis_of(sig)
+    assert all(membership(g, own) for g in orbit.elements)
+    assert all(membership(g, orbit) for g in own.elements)
+    assert buchberger_criterion(orbit.elements, orbit.order) == (True, None)
+    # the representative lists the symmetric indices first; its index k is
+    # renamed to the index of sig it came from
+    origin = [i for i in range(1, sig.n + 1) if sig[i] == 1]
+    origin += [i for i in range(1, sig.n + 1) if sig[i] == -1]
+    rep = Signature(tuple(sig[i] for i in origin))
+    rho = {k: i for k, i in enumerate(origin, 1)}
+    assert orbit.elements == tuple(relabel_indices(g, rho) for g in basis_of(rep).elements)
 
 
 @given(sample=oracle_samples())

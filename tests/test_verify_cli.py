@@ -221,6 +221,92 @@ class TestFailurePaths:
         assert (case.status, case.witnesses, case.details) == ("budget", [], {})
 
 
+@pytest.fixture
+def cold_orbit_memo(monkeypatch):
+    """oracle-equiv's orbit-basis memo, empty for this test only."""
+    import tensorcert.verify as verify
+
+    monkeypatch.setattr(verify, "_ORBIT_BASES", {})
+    return verify._ORBIT_BASES
+
+
+def _outcome(case):
+    return case.status, case.details, case.witnesses
+
+
+class TestOrbitMemo:
+    @pytest.mark.parametrize(
+        "text, other, budget",
+        [
+            ("-+", "+-", BUDGET),
+            ("+", "+", 1),
+            # the orbit's representative +- costs 1,235 steps, -+ alone 1,180
+            ("-+", "+-", 1_234),
+            # the basis and the samples take 1,235 + 3,981 steps, the samples
+            # alone fit: a hit that charged nothing would pass
+            ("-+", "+-", 5_000),
+            ("-++", "+-+", BUDGET),
+        ],
+        ids=["default", "one-step", "below-representative", "basis-and-samples", "three-cycle"],
+    )
+    def test_case_does_not_depend_on_the_memo(self, cold_orbit_memo, text, other, budget):
+        sig = Signature.parse(text)
+        cold = oracle_equivalence_case(sig, budget)
+        cold_orbit_memo.clear()
+        oracle_equivalence_case(Signature.parse(other), BUDGET)
+        assert len(cold_orbit_memo) == 1
+        warm = oracle_equivalence_case(sig, budget)
+        assert _outcome(warm) == _outcome(cold)
+        if budget < BUDGET:
+            assert cold.status == "budget"
+
+    def test_memo_hit_builds_no_basis(self, cold_orbit_memo, monkeypatch):
+        import tensorcert.verify as verify
+
+        built = []
+
+        def counted(sig, budget=None):
+            built.append(str(sig))
+            return verify.intersect_pair(*verify._j_ideal_factors(sig), budget)
+
+        monkeypatch.setattr(verify, "tensorial_ideal_basis", counted)
+        for text in ("+-+", "-++", "++-", "--+"):
+            assert oracle_equivalence_case(Signature.parse(text), BUDGET).status == "pass"
+        assert built == ["++-", "+--"]
+
+    def test_witness_keeps_the_index_descending_order(self, cold_orbit_memo, monkeypatch):
+        import tensorcert.verify as verify
+        from tensorcert.ideals import is_universally_tensorial_linear
+        from tensorcert.parse import render_polynomial
+        from tensorcert.xyz import index_desc_order
+
+        sig = Signature.parse("-+")
+        target = candidate_basis(sig).members[1]  # uses both indices
+
+        def wrong_on_target(poly, sig):
+            return is_universally_tensorial_linear(poly, sig) != (poly == target)
+
+        monkeypatch.setattr(verify, "is_universally_tensorial_linear", wrong_on_target)
+        case = oracle_equivalence_case(sig, BUDGET)
+        assert case.status == "fail"
+        assert case.witnesses[0] == render_polynomial(target, index_desc_order(2))
+
+    def test_sweep_does_not_depend_on_signature_order(self, cold_orbit_memo):
+        # a budget that passes some N = 3 cases and exhausts others
+        sigs = [sig for n in (1, 2, 3) for sig in Signature.sweep(n)]
+        reports = []
+        for order in (sigs, sigs[::-1]):
+            cold_orbit_memo.clear()
+            report = run_suite("oracle-equiv", 3, order, step_budget=24_000)
+            report.signatures = "all"
+            for case in report.cases:
+                case.wall_time_ms = 0
+            reports.append(emit_report(report, "json"))
+        assert reports[0] == reports[1]
+        statuses = {case["status"] for case in json.loads(reports[0])["cases"]}
+        assert statuses == {"pass", "budget"}
+
+
 class TestReport:
     def build(self):
         return run_suite("knutson", 1)
