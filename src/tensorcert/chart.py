@@ -5,11 +5,18 @@ sections are vector-field + one-form pairs; endomorphisms are 2n x 2n scalar
 matrices acting on stacked (vector, form) components.  Every component must
 live in the chart's ring, which is checked once at construction, so matrix
 products and applications sum their products with the ``poly.dot`` kernel.
+
+The fleet's endomorphisms are block and diagonal matrices, mostly zeros, so
+an endomorphism keeps each row's nonzero (column, entry) pairs and every
+matrix operation forms only products of two nonzero entries.  An entry of a
+product that receives no product is the ring's zero, with no ``dot`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .poly import Polynomial, PolyRing, dot
@@ -75,16 +82,19 @@ class GeneralizedSection:
     def components(self) -> tuple[Polynomial, ...]:
         return self.vector + self.form
 
-    def __add__(self, other: "GeneralizedSection") -> "GeneralizedSection":
+    def _componentwise(self, op, other: "GeneralizedSection") -> "GeneralizedSection":
         _check_chart(self, other)
         return GeneralizedSection(
             self.chart,
-            tuple(a + b for a, b in zip(self.vector, other.vector)),
-            tuple(a + b for a, b in zip(self.form, other.form)),
+            tuple(map(op, self.vector, other.vector)),
+            tuple(map(op, self.form, other.form)),
         )
 
+    def __add__(self, other: "GeneralizedSection") -> "GeneralizedSection":
+        return self._componentwise(add, other)
+
     def __sub__(self, other: "GeneralizedSection") -> "GeneralizedSection":
-        return self + (-other)
+        return self._componentwise(sub, other)
 
     def __neg__(self) -> "GeneralizedSection":
         return self.scale(self.chart.ring.const(-1))
@@ -106,19 +116,18 @@ class GeneralizedSection:
 class Endomorphism:
     """A 2n x 2n scalar matrix acting on (vector, form) stacked columns."""
 
-    __slots__ = ("chart", "rows", "_nonzero")
+    __slots__ = ("chart", "rows", "nonzero")
 
     def __init__(self, chart: Chart, rows: Sequence[Sequence[Polynomial]]):
         size = 2 * chart.dim
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError(f"matrix must be {size}x{size}")
-        for r in rows:
-            _check_ring(chart, r)
+        _check_ring(chart, chain.from_iterable(rows))
         self.chart = chart
         self.rows = rows
         # per row, the (column, entry) pairs with a nonzero entry
-        self._nonzero = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
+        self.nonzero = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
 
     @classmethod
     def from_blocks(cls, chart: Chart, a, b, c, d) -> "Endomorphism":
@@ -151,19 +160,28 @@ class Endomorphism:
         _check_chart(self, section)
         comps = section.components()
         ring = self.chart.ring
-        out = [dot(ring, ((e, comps[j]) for j, e in row)) for row in self._nonzero]
+        out = [_row_times(ring, row, comps) for row in self.nonzero]
         n = self.chart.dim
         return GeneralizedSection(self.chart, tuple(out[:n]), tuple(out[n:]))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """Matrix product; (self.compose(other))(s) == self(other(s))."""
+        """Matrix product; (self.compose(other))(s) == self(other(s)).
+
+        Each nonzero e = self[r][j] meets each nonzero f = other[j][c], and
+        the product is scattered to entry (r, c); an entry that receives
+        products is one ``dot``, any other is the ring's zero.
+        """
         _check_chart(self, other)
         ring = self.chart.ring
+        zero = ring.zero
         cols = range(2 * self.chart.dim)
-        rows = [
-            [dot(ring, ((e, other.rows[j][c]) for j, e in row)) for c in cols]
-            for row in self._nonzero
-        ]
+        rows = []
+        for row in self.nonzero:
+            products: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
+            for j, e in row:
+                for c, f in other.nonzero[j]:
+                    products.setdefault(c, []).append((e, f))
+            rows.append([dot(ring, products[c]) if c in products else zero for c in cols])
         return Endomorphism(self.chart, rows)
 
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
@@ -174,9 +192,10 @@ class Endomorphism:
         )
 
     def scale(self, value) -> "Endomorphism":
-        if not isinstance(value, Polynomial):
-            value = self.chart.ring.const(value)
-        return Endomorphism(self.chart, [tuple(value * e for e in r) for r in self.rows])
+        """Multiply by a rational; a zero entry stays as it is."""
+        return Endomorphism(
+            self.chart, [tuple(e.scale(value) if e else e for e in r) for r in self.rows]
+        )
 
     def __neg__(self) -> "Endomorphism":
         return self.scale(-1)
@@ -193,6 +212,20 @@ class Endomorphism:
             tuple(self.rows[swap(c)][swap(r)] for c in range(size)) for r in range(size)
         ]
         return Endomorphism(self.chart, rows)
+
+
+def _row_times(ring: PolyRing, row, values: Sequence[Polynomial]) -> Polynomial:
+    """sum e * values[j] over a row's nonzero (j, e) pairs.
+
+    An empty row gives the ring's zero and the row e_j gives values[j]
+    itself (polynomials are immutable, so sharing it is safe); any other row
+    is one ``dot``.
+    """
+    if not row:
+        return ring.zero
+    if len(row) == 1 and row[0][1] == ring.one:
+        return values[row[0][0]]
+    return dot(ring, ((e, values[j]) for j, e in row))
 
 
 class FamilyValidationError(ValueError):

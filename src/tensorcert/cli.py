@@ -215,10 +215,12 @@ def run_suite(
 
 def _cmd_certify(args) -> int:
     budget = default_budget(args.budget)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     sigs = _parse_signatures(args.sig, args.n_max)
     if args.out:
         _check_out_target(args.out)
-    report = run_suite(args.suite, args.n_max, sigs, budget, max(1, args.workers))
+    report = run_suite(args.suite, args.n_max, sigs, budget, args.workers)
     rendered = emit_report(report, args.format)
     if args.out:
         as_json = rendered if args.format == "json" else emit_report(report, "json")

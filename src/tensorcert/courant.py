@@ -10,7 +10,10 @@ The Courant element is tau_C(a, b, c) = <[[a, b]], c>.  A polynomial in
 the x/y/z ring acts on forms by inserting endomorphism powers into the three
 slots; tensoriality of (P, phi) means the resulting form is function-linear.
 That is decided pointwise from the anchor identities of the bracket, so the
-check needs no bracket and no derivative (``tensoriality_check``).
+check needs no bracket and no derivative (``tensoriality_check``).  Its
+matrices are mostly zeros, so it forms only products of nonzero entries and
+scatters each to the defect component it belongs to; a component that
+receives no product is zero and costs nothing.
 
 Every sum of products here is one call of the multiply-accumulate kernel
 ``poly.dot``.  The bridge identities ask for the same bracket several times
@@ -149,9 +152,14 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     pairing matrix G_ab = 2 <L e_a, R e_b>, component r of the two defects
     at basis sections e_a, e_b is
 
-        sum over parts of G_ab M_r,n+i - R_ib (ML)_ra   and   L_ia (MR)_rb,
+        sum over parts of G_ab M_r,n+i - R_ib (ML)_ra   and   L_ia (MR)_rb.
 
-    so each is one ``dot`` over the parts, of matrices computed once per part.
+    G's row a is row swap(a) of adjoint(L) R, so it comes from the sparse
+    matrix product like M L and M R.  Each nonzero pair (G_ab, M_r,n+i),
+    (-R_ib, (ML)_ra) and (L_ia, (MR)_rb) is scattered to its first- or
+    second-slot component (a, b, i, r), and each component that received
+    pairs is one ``dot``.  A component that receives none is zero, so the
+    action is tensorial iff every such ``dot`` is zero.
     """
     if ring_size(poly.ring) != family.n:
         raise ValueError(
@@ -165,32 +173,39 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     for I, J, K, coeff in split_terms(poly):
         term = family.power_endo(K).scale(coeff * sig.power(K))
         outer[I, J] = outer[I, J] + term if (I, J) in outer else term
-    parts = []  # G, M, ML, MR, L and -R (vector rows only) of each (I, J) part
+    # defect component (a, b, i, r) -> its nonzero pairs, per slot
+    first: dict[tuple[int, int, int, int], list] = {}
+    second: dict[tuple[int, int, int, int], list] = {}
     for (I, J), m in outer.items():
         left, right = family.power_endo(I), family.power_endo(J)
-        L, R = left.rows, right.rows
-        # 2 <s, t> pairs each component of s with the opposite block's one of t
-        pairing = [
-            [dot(ring, ((L[(k + n) % (2 * n)][a], R[k][b]) for k in size)) for b in size]
-            for a in size
-        ]
-        neg_r = [[-e for e in R[i]] for i in range(n)]
-        parts.append((pairing, m.rows, m.compose(left).rows, m.compose(right).rows, L, neg_r))
-    for a in size:
-        for b in size:
-            for i in range(n):
-                for r in size:
-                    first = dot(
-                        ring,
-                        chain.from_iterable(
-                            ((G[a][b], M[r][n + i]), (neg_r[i][b], ML[r][a]))
-                            for G, M, ML, _, _, neg_r in parts
-                        ),
-                    )
-                    second = dot(ring, ((L[i][a], MR[r][b]) for _, _, _, MR, L, _ in parts))
-                    if first or second:
-                        return False
-    return True
+        m_cols, ml_cols, mr_cols = (_columns(e) for e in (m, m.compose(left), m.compose(right)))
+        # G's row a is row swap(a) of adjoint(L) R, and swap is an involution
+        for s, row in enumerate(left.adjoint().compose(right).nonzero):
+            a = (s + n) % (2 * n)
+            for b, g in row:
+                for i in range(n):
+                    for r, e in m_cols[n + i]:
+                        first.setdefault((a, b, i, r), []).append((g, e))
+        for i in range(n):
+            for b, e in right.nonzero[i]:
+                neg_e = -e
+                for a in size:
+                    for r, f in ml_cols[a]:
+                        first.setdefault((a, b, i, r), []).append((neg_e, f))
+            for a, e in left.nonzero[i]:
+                for b in size:
+                    for r, f in mr_cols[b]:
+                        second.setdefault((a, b, i, r), []).append((e, f))
+    return not any(dot(ring, pairs) for pairs in chain(first.values(), second.values()))
+
+
+def _columns(endo: Endomorphism) -> list[list[tuple[int, Polynomial]]]:
+    """Per column c, the (row, entry) pairs with a nonzero entry."""
+    cols: list[list[tuple[int, Polynomial]]] = [[] for _ in endo.rows]
+    for r, row in enumerate(endo.nonzero):
+        for c, e in row:
+            cols[c].append((r, e))
+    return cols
 
 
 # -- semiconcomitant and the derived tensors -----------------------------------

@@ -137,6 +137,26 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
 
     sum_J eps^J a_{I,J,T-J} = 0,  sum_J eps^J a_{J,T-J,I} = 0,
     sum_J eps^J a_{T-J,I,J} = 0   for all (I, T).
+
+    A pass means f acts tensorially for every commuting family of signature
+    sig, on every chart.  Group the two defect sections of
+    ``courant.tensoriality_check`` by phi-power, using only the adjoint rule
+    (phi^I)* = eps^I phi^I and commutativity, phi^K phi^I = phi^(I+K):
+
+    - the pairing term eps^K <phi^I a, phi^J b> phi^K du_i equals
+      eps^I eps^K <a, phi^(I+J) b> phi^K du_i: with K fixed, the terms with
+      I + J = T share a section and carry weight eps^I, the second family;
+    - the first-slot vector term eps^K (phi^J b)_i phi^(I+K) a: with J fixed,
+      the terms with I + K = T share a section and carry weight eps^K, the
+      third family;
+    - the second-slot term eps^K (phi^I a)_i phi^(J+K) b: with I fixed, the
+      terms with J + K = T carry weight eps^K = eps^T eps^J, the first family
+      up to the sign eps^T.
+
+    So each family's equations make every grouped coefficient vanish, and
+    both defects vanish whatever the family.  The converse does not hold
+    family by family: a polynomial that fails here can still be tensorial on
+    one family.
     """
     skew = _skew_positions(f, sig)
     buckets: dict[tuple, Coefficient] = {}

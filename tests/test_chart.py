@@ -4,8 +4,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import basis_sections, basis_vector, reference_apply, reference_compose, seeded
+from conftest import (
+    basis_sections,
+    basis_vector,
+    polynomials,
+    reference_apply,
+    reference_compose,
+    seeded,
+)
 from tensorcert.chart import (
     Chart,
     ChartMismatchError,
@@ -43,6 +52,31 @@ def random_endo(rng, chart):
         chart,
         [[chart.ring.const(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)],
     )
+
+
+@st.composite
+def sparse_endomorphisms(draw, chart):
+    """Endomorphisms mixing all-zero rows, rows e_j, and rows of constant and
+    linear entries (zeros among them)."""
+    ring = chart.ring
+    size = 2 * chart.dim
+    coordinates = [chart.coordinate(i) for i in range(1, chart.dim + 1)]
+    constant = st.integers(-3, 3).map(ring.const)
+    linear = st.tuples(st.integers(-2, 2), st.sampled_from(coordinates), constant).map(
+        lambda t: t[1].scale(t[0]) + t[2]
+    )
+    rows = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(("zero", "unit", "entries")))
+        if kind == "zero":
+            rows.append([ring.zero] * size)
+        elif kind == "unit":
+            j = draw(st.integers(0, size - 1))
+            rows.append([ring.one if c == j else ring.zero for c in range(size)])
+        else:
+            entry = st.one_of(st.just(ring.zero), constant, linear)
+            rows.append(draw(st.lists(entry, min_size=size, max_size=size)))
+    return Endomorphism(chart, rows)
 
 
 class TestSections:
@@ -96,6 +130,24 @@ class TestEndomorphisms:
                     assert phi.apply(s) == reference_apply(phi, s)
                 for psi in family.members:
                     assert phi.compose(psi) == reference_compose(phi, psi)
+
+    @given(data=st.data(), dim=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_kernels_match_row_by_column_reference(self, data, dim):
+        chart = Chart(dim)
+        phi = data.draw(sparse_endomorphisms(chart))
+        psi = data.draw(sparse_endomorphisms(chart))
+        scalars = polynomials(chart.ring, max_terms=3)
+        comps = data.draw(st.lists(scalars, min_size=2 * dim, max_size=2 * dim))
+        s = GeneralizedSection(chart, tuple(comps[:dim]), tuple(comps[dim:]))
+        assert phi.apply(s) == reference_apply(phi, s)
+        assert phi.compose(psi) == reference_compose(phi, psi)
+
+    def test_unit_rows_share_the_component(self):
+        chart = Chart(2)
+        s = random_section(seeded("endo-unit-rows"), chart)
+        image = Endomorphism.identity(chart).apply(s)
+        assert all(p is q for p, q in zip(image.components(), s.components()))
 
     def test_adjoint_identity(self):
         chart = Chart(1)

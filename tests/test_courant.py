@@ -32,7 +32,13 @@ from tensorcert.courant import (
     torsion_T,
 )
 from tensorcert.fleet import build_fleet
-from tensorcert.ideals import candidate_basis, generator_P, generator_T, vanishes_on_variety
+from tensorcert.ideals import (
+    candidate_basis,
+    generator_P,
+    generator_T,
+    is_universally_tensorial_linear,
+    vanishes_on_variety,
+)
 from tensorcert.parse import parse_polynomial
 from tensorcert.poly import dot
 from tensorcert.verify import random_polynomial, random_section
@@ -333,6 +339,56 @@ class TestTensoriality:
             assert form(a, b.scale(f), c) == f * form(a, b, c)
             assert form(a.scale(f), b, c) == f * form(a, b, c)
 
+    def test_check_forms_no_product_with_a_zero_operand(self, monkeypatch):
+        import tensorcert.chart as chart_module
+
+        formed = []
+
+        def nonzero_only(ring, pairs):
+            pairs = list(pairs)
+            assert all(p and q for p, q in pairs), "a product with a zero operand was formed"
+            formed.append(len(pairs))
+            return dot(ring, pairs)
+
+        cases = [
+            (family, poly)
+            for family in FLEET.values()
+            for poly in (xyz_ring(family.n).one, *candidate_basis(family.signature).members)
+        ]
+        monkeypatch.setattr(courant, "dot", nonzero_only)
+        monkeypatch.setattr(chart_module, "dot", nonzero_only)
+        verdicts = {tensoriality_check(poly, family) for family, poly in cases}
+        assert formed and verdicts == {True, False}
+
+    def test_linear_oracle_implies_tensorial_on_every_family(self):
+        # the three equation families of the linear oracle are the defects of
+        # tensoriality_check grouped by phi-power, so a pass is tensorial on
+        # every family of the signature; a failure may still pass on one family
+        by_signature: dict[Signature, list] = {}
+        for family in FLEET.values():
+            by_signature.setdefault(family.signature, []).append(family)
+        rng = seeded("linear-implies-tensorial")
+        passed = failed = 0
+        for sig, families in by_signature.items():
+            ring = xyz_ring(sig.n)
+            members = candidate_basis(sig, ring).members
+            variables = [ring.var(v) for v in ring.variables]
+            polys = [random_polynomial(rng, ring, sig.n, max_terms=4) for _ in range(20)]
+            for _ in range(20):
+                combination = ring.zero
+                for _ in range(2):
+                    factor = rng.choice([ring.one, *variables]).scale(rng.choice([-2, -1, 1, 3]))
+                    combination = combination + factor * rng.choice(members)
+                polys.append(combination)
+            for poly in polys:
+                if not is_universally_tensorial_linear(poly, sig):
+                    failed += 1
+                    continue
+                passed += 1
+                for family in families:
+                    assert tensoriality_check(poly, family), (str(sig), poly)
+        assert passed and failed
+
 
 # -- the bracket-table reference oracle for tensoriality_check ----------------------
 
@@ -422,6 +478,15 @@ class TestTensorialityAgainstBracketTables:
             if FLEET[name].n == 1
         }
         assert verdicts["gacs-complex-n2"] and not verdicts["generic-skew-n2"]
+
+    @pytest.mark.parametrize(
+        "name, text", [("vector-valued-n1", "y1*z1"), ("form-valued-quadratic-n1", "x1*x2*y2")]
+    )
+    def test_first_slot_terms_cancel(self, name, text):
+        # tensorial only because the pairing and vector terms of the
+        # first-slot defect cancel: dropping either one flips the verdict
+        family = FLEET[name]
+        assert assert_same_verdict(parse_polynomial(text, xyz_ring(family.n)), family)
 
     def test_seeded_random_polynomials(self):
         rng = seeded("tensoriality-oracle")

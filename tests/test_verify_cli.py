@@ -496,6 +496,21 @@ class TestCli:
         assert "Traceback" not in err
         assert err.count("error: ") == len(err.strip().splitlines()) == 7
 
+    def test_non_positive_workers_is_usage_error_before_any_case(self, monkeypatch, capsys):
+        import tensorcert.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a case ran although --workers is not positive")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        for workers in ("--workers=0", "--workers=-5"):
+            assert main(["certify", "--suite", "squeeze", "--n", "1", workers]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error: --workers must be at least 1") for line in lines)
+
     def test_exponent_at_engine_cap_is_usage_error_before_any_basis(
         self, monkeypatch, capsys, tmp_path
     ):
