@@ -54,14 +54,15 @@ from .ideals import (
 )
 from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from .courant import (
+    BracketTable,
+    action_terms,
     courant_bracket,
     courant_element,
     inner_product,
     polynomial_action,
-    semiconcomitant,
-    tensor_P,
+    tensor_P_terms,
     tensoriality_check,
-    torsion_T,
+    torsion_T_terms,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

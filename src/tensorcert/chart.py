@@ -5,6 +5,9 @@ sections are vector-field + one-form pairs; endomorphisms are 2n x 2n scalar
 matrices acting on stacked (vector, form) components.  Every component must
 live in the chart's ring, which is checked once at construction, so matrix
 products and applications sum their products with the ``poly.dot`` kernel.
+A section or matrix that this module or ``courant`` builds from components
+already in the ring skips that check through one private constructor each
+(``_section``, ``Endomorphism._unchecked``); public construction validates.
 
 The fleet's endomorphisms are block and diagonal matrices, mostly zeros, so
 an endomorphism keeps each row's nonzero (column, entry) pairs and every
@@ -84,7 +87,7 @@ class GeneralizedSection:
 
     def _componentwise(self, op, other: "GeneralizedSection") -> "GeneralizedSection":
         _check_chart(self, other)
-        return GeneralizedSection(
+        return _section(
             self.chart,
             tuple(map(op, self.vector, other.vector)),
             tuple(map(op, self.form, other.form)),
@@ -103,7 +106,7 @@ class GeneralizedSection:
         """Module action of a scalar (polynomial or rational)."""
         if not isinstance(f, Polynomial):
             f = self.chart.ring.const(f)
-        return GeneralizedSection(
+        return _section(
             self.chart,
             tuple(f * a for a in self.vector),
             tuple(f * a for a in self.form),
@@ -111,6 +114,17 @@ class GeneralizedSection:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components())
+
+
+def _section(
+    chart: Chart, vector: tuple[Polynomial, ...], form: tuple[Polynomial, ...]
+) -> GeneralizedSection:
+    """A section from n vector and n form components already in the chart's ring."""
+    section = object.__new__(GeneralizedSection)
+    object.__setattr__(section, "chart", chart)
+    object.__setattr__(section, "vector", vector)
+    object.__setattr__(section, "form", form)
+    return section
 
 
 class Endomorphism:
@@ -126,8 +140,16 @@ class Endomorphism:
         _check_ring(chart, chain.from_iterable(rows))
         self.chart = chart
         self.rows = rows
-        # per row, the (column, entry) pairs with a nonzero entry
-        self.nonzero = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
+        self.nonzero = _nonzero(rows)
+
+    @classmethod
+    def _unchecked(cls, chart: Chart, rows: tuple[tuple[Polynomial, ...], ...]) -> "Endomorphism":
+        """A matrix from 2n rows of 2n entries already in the chart's ring."""
+        endo = object.__new__(cls)
+        endo.chart = chart
+        endo.rows = rows
+        endo.nonzero = _nonzero(rows)
+        return endo
 
     @classmethod
     def from_blocks(cls, chart: Chart, a, b, c, d) -> "Endomorphism":
@@ -162,7 +184,7 @@ class Endomorphism:
         ring = self.chart.ring
         out = [_row_times(ring, row, comps) for row in self.nonzero]
         n = self.chart.dim
-        return GeneralizedSection(self.chart, tuple(out[:n]), tuple(out[n:]))
+        return _section(self.chart, tuple(out[:n]), tuple(out[n:]))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Matrix product; (self.compose(other))(s) == self(other(s)).
@@ -181,20 +203,20 @@ class Endomorphism:
             for j, e in row:
                 for c, f in other.nonzero[j]:
                     products.setdefault(c, []).append((e, f))
-            rows.append([dot(ring, products[c]) if c in products else zero for c in cols])
-        return Endomorphism(self.chart, rows)
+            rows.append(tuple(dot(ring, products[c]) if c in products else zero for c in cols))
+        return Endomorphism._unchecked(self.chart, tuple(rows))
 
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
         _check_chart(self, other)
-        return Endomorphism(
+        return Endomorphism._unchecked(
             self.chart,
-            [tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)],
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)),
         )
 
     def scale(self, value) -> "Endomorphism":
         """Multiply by a rational; a zero entry stays as it is."""
-        return Endomorphism(
-            self.chart, [tuple(e.scale(value) if e else e for e in r) for r in self.rows]
+        return Endomorphism._unchecked(
+            self.chart, tuple(tuple(e.scale(value) if e else e for e in r) for r in self.rows)
         )
 
     def __neg__(self) -> "Endomorphism":
@@ -208,10 +230,15 @@ class Endomorphism:
         def swap(i: int) -> int:
             return (i + n) % size
 
-        rows = [
+        rows = tuple(
             tuple(self.rows[swap(c)][swap(r)] for c in range(size)) for r in range(size)
-        ]
-        return Endomorphism(self.chart, rows)
+        )
+        return Endomorphism._unchecked(self.chart, rows)
+
+
+def _nonzero(rows) -> tuple[tuple[tuple[int, Polynomial], ...], ...]:
+    """Per row, the (column, entry) pairs with a nonzero entry."""
+    return tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
 
 
 def _row_times(ring: PolyRing, row, values: Sequence[Polynomial]) -> Polynomial:
@@ -268,10 +295,18 @@ class CommutingFamily:
         return self.members[i - 1]
 
     def power_endo(self, exponents: Iterable[int]) -> Endomorphism:
-        """phi^I = prod phi_i^(I_i), cached per family."""
+        """phi^I = prod phi_i^(I_i), cached per family.
+
+        The key holds one nonnegative exponent per member; any other key
+        raises ``ValueError``.
+        """
         key = tuple(exponents)
         cached = self._power_cache.get(key)
         if cached is None:
+            if len(key) != len(self.members) or any(e < 0 for e in key):
+                raise ValueError(
+                    f"exponent key {key} needs {len(self.members)} nonnegative entries"
+                )
             cached = Endomorphism.identity(self.chart)
             for member, e in zip(self.members, key):
                 for _ in range(e):

@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .groebner import (
@@ -192,6 +191,9 @@ def run_suite(
     calls = _case_calls(suite, n_max, signatures, step_budget)
     processes = min(workers, len(calls), os.cpu_count() or 1)
     if processes > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             cases = list(pool.map(_call, calls))
     else:

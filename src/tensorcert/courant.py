@@ -16,12 +16,18 @@ scatters each to the defect component it belongs to; a component that
 receives no product is zero and costs nothing.
 
 Every sum of products here is one call of the multiply-accumulate kernel
-``poly.dot``.  The bridge identities ask for the same bracket several times
-per sample (a semiconcomitant and the polynomial action both need
-[[phi^I a, phi^J b]]), so ``semiconcomitant`` and ``courant_element`` reach
-``courant_bracket`` through ``cached_bracket``: a value-keyed memo of at most
-``BRACKET_MEMO_SIZE`` entries.  Sections are frozen and polynomials immutable,
-so a remembered bracket is the exact bracket.
+``poly.dot``.  Every bracket of a bridge identity has the form
+[[phi^I a, phi^J b]] for exponent vectors I and J: the four brackets of each
+semiconcomitant, with the outer endomorphism applied afterwards, and every
+tau_C(phi^I a, phi^J b, phi^K c) of the polynomial action.  So a bridge
+sample (a, b) gets one ``BracketTable``, which computes phi^I a and phi^J b
+once per exponent vector and each bracket once per key (I, J); it lives for
+that sample only.  Expanding the semiconcomitants, a derived tensor is
+sum M_IJ [[phi^I a, phi^J b]]; ``torsion_T_terms`` and ``tensor_P_terms``
+build the outer endomorphisms M_IJ once per identity, and the table sums
+them against its brackets with one ``dot`` per output component.  An
+exponent key names phi_j phi_i b and phi^(e_i + e_j) b alike, which the
+commutativity checked by ``CommutingFamily`` makes exact.
 """
 
 from __future__ import annotations
@@ -29,13 +35,24 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable
 
-from .chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection, _check_chart
-from .poly import Polynomial, dot
+from .chart import (
+    Chart,
+    CommutingFamily,
+    Endomorphism,
+    GeneralizedSection,
+    _check_chart,
+    _section,
+)
+from .poly import Exponents, Polynomial, dot
 from .xyz import ring_size, split_terms
 
 Vector = tuple[Polynomial, ...]
 # an R-trilinear form on sections, evaluated as form(a, b, c)
 Trilinear = Callable[[GeneralizedSection, GeneralizedSection, GeneralizedSection], Polynomial]
+# a derived tensor sum M_IJ [[phi^I a, phi^J b]], as (I, J) -> M_IJ
+BracketTerms = dict[tuple[Exponents, Exponents], Endomorphism]
+# a polynomial's terms c x^I y^J z^K as (I, J, K, c), c a constant of the chart ring
+ActionTerms = list[tuple[Exponents, Exponents, Exponents, Polynomial]]
 
 
 def inner_product(a: GeneralizedSection, b: GeneralizedSection) -> Polynomial:
@@ -85,39 +102,29 @@ def courant_bracket(a: GeneralizedSection, b: GeneralizedSection) -> Generalized
         )
         for i in range(n)
     )
-    return GeneralizedSection(chart, vec, form)
-
-
-BRACKET_MEMO_SIZE = 64  # distinct brackets of one bridge sample fit several times over
-_bracket_memo: dict[tuple[GeneralizedSection, GeneralizedSection], GeneralizedSection] = {}
-
-
-def cached_bracket(a: GeneralizedSection, b: GeneralizedSection) -> GeneralizedSection:
-    """courant_bracket(a, b), remembered by value; the oldest entry goes first."""
-    key = (a, b)
-    value = _bracket_memo.get(key)
-    if value is None:
-        value = courant_bracket(a, b)
-        if len(_bracket_memo) >= BRACKET_MEMO_SIZE:
-            del _bracket_memo[next(iter(_bracket_memo))]
-        _bracket_memo[key] = value
-    return value
+    return _section(chart, vec, form)
 
 
 def courant_element(chart: Chart) -> Trilinear:
     """tau_C(a, b, c) = <[[a, b]], c>."""
-    return lambda a, b, c: inner_product(cached_bracket(a, b), c)
+    return lambda a, b, c: inner_product(courant_bracket(a, b), c)
+
+
+def action_terms(poly: Polynomial, family: CommutingFamily) -> ActionTerms:
+    """The terms a_IJK x^I y^J z^K of P, each coefficient in the chart ring."""
+    n = ring_size(poly.ring)
+    if n != family.n:
+        raise ValueError(f"polynomial has {n} indices but the family has {family.n}")
+    const = family.chart.ring.const
+    return [(I, J, K, const(coeff)) for I, J, K, coeff in split_terms(poly)]
 
 
 def polynomial_action(
     poly: Polynomial, family: CommutingFamily, tau: Trilinear
 ) -> Trilinear:
     """(P ._phi tau)(a,b,c) = sum a_IJK tau(phi^I a, phi^J b, phi^K c)."""
-    n = ring_size(poly.ring)
-    if n != family.n:
-        raise ValueError(f"polynomial has {n} indices but the family has {family.n}")
+    terms = action_terms(poly, family)
     ring = family.chart.ring
-    terms = [(I, J, K, ring.const(coeff)) for I, J, K, coeff in split_terms(poly)]
     # the exponents each slot needs, so phi^I a is applied once per evaluation
     slot_exponents = [{term[slot] for term in terms} for slot in range(3)]
 
@@ -169,10 +176,9 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     ring, n = chart.ring, chart.dim
     size = range(2 * n)
     # the outer endomorphism sum_K c e^K phi^K, per (I, J)
-    outer: dict[tuple, Endomorphism] = {}
+    outer: BracketTerms = {}
     for I, J, K, coeff in split_terms(poly):
-        term = family.power_endo(K).scale(coeff * sig.power(K))
-        outer[I, J] = outer[I, J] + term if (I, J) in outer else term
+        _add_term(outer, (I, J), family.power_endo(K).scale(coeff * sig.power(K)))
     # defect component (a, b, i, r) -> its nonzero pairs, per slot
     first: dict[tuple[int, int, int, int], list] = {}
     second: dict[tuple[int, int, int, int], list] = {}
@@ -199,6 +205,10 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     return not any(dot(ring, pairs) for pairs in chain(first.values(), second.values()))
 
 
+def _add_term(terms: BracketTerms, key: tuple[Exponents, Exponents], m: Endomorphism) -> None:
+    terms[key] = terms[key] + m if key in terms else m
+
+
 def _columns(endo: Endomorphism) -> list[list[tuple[int, Polynomial]]]:
     """Per column c, the (row, entry) pairs with a nonzero entry."""
     cols: list[list[tuple[int, Polynomial]]] = [[] for _ in endo.rows]
@@ -208,51 +218,120 @@ def _columns(endo: Endomorphism) -> list[list[tuple[int, Polynomial]]]:
     return cols
 
 
-# -- semiconcomitant and the derived tensors -----------------------------------
+# -- the bridge identities: one bracket table per sample ---------------------
 
 
-def semiconcomitant(
-    p1: Endomorphism, p2: Endomorphism, a: GeneralizedSection, b: GeneralizedSection
-) -> GeneralizedSection:
-    """K_(p1,p2)(a,b) =
-    [[p1 a, p2 b]] - p1 [[a, p2 b]] - p2 [[p1 a, b]] + p1 p2 [[a, b]]
-    for two members of a validated commuting family."""
-    p1_a, p2_b = p1.apply(a), p2.apply(b)
-    return (
-        cached_bracket(p1_a, p2_b)
-        - p1.apply(cached_bracket(a, p2_b))
-        - p2.apply(cached_bracket(p1_a, b))
-        + p1.apply(p2.apply(cached_bracket(a, b)))
-    )
+class BracketTable:
+    """The brackets [[phi^I a, phi^J b]] of one sample (a, b), each computed once.
+
+    phi^I a and phi^J b are computed once per exponent vector, and each
+    bracket once per key (I, J), by ``courant_bracket`` looked up when it is
+    needed.  A table lives for one sample; nothing is keyed by section value.
+    """
+
+    __slots__ = ("family", "a", "b", "_left", "_right", "_brackets")
+
+    def __init__(self, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection):
+        self.family = family
+        self.a = a
+        self.b = b
+        self._left: dict[Exponents, GeneralizedSection] = {}
+        self._right: dict[Exponents, GeneralizedSection] = {}
+        self._brackets: dict[tuple[Exponents, Exponents], GeneralizedSection] = {}
+
+    def _power(self, powers: dict, exponents: Exponents, section: GeneralizedSection):
+        value = powers.get(exponents)
+        if value is None:
+            value = powers[exponents] = self.family.power_endo(exponents).apply(section)
+        return value
+
+    def bracket(self, I: Exponents, J: Exponents) -> GeneralizedSection:
+        """[[phi^I a, phi^J b]]."""
+        value = self._brackets.get((I, J))
+        if value is None:
+            value = courant_bracket(
+                self._power(self._left, I, self.a), self._power(self._right, J, self.b)
+            )
+            self._brackets[I, J] = value
+        return value
+
+    def tensor(self, terms: BracketTerms) -> GeneralizedSection:
+        """sum M_IJ [[phi^I a, phi^J b]], one ``dot`` per output component."""
+        chart = self.family.chart
+        ring, n = chart.ring, chart.dim
+        parts = [(m.nonzero, self.bracket(I, J).components()) for (I, J), m in terms.items()]
+        out = [
+            dot(ring, ((e, comps[c]) for rows, comps in parts for c, e in rows[r]))
+            for r in range(2 * n)
+        ]
+        return _section(chart, tuple(out[:n]), tuple(out[n:]))
+
+    def action(self, terms: ActionTerms, c: GeneralizedSection) -> Polynomial:
+        """(P ._phi tau_C)(a, b, c) = sum a_IJK <[[phi^I a, phi^J b]], phi^K c>,
+        with phi^K c computed once per K and one pairing per term."""
+        family = self.family
+        powers = {K: family.power_endo(K).apply(c) for K in {term[2] for term in terms}}
+        return dot(
+            family.chart.ring,
+            ((inner_product(self.bracket(I, J), powers[K]), coeff) for I, J, K, coeff in terms),
+        )
 
 
-def torsion_T(
-    i: int,
-    j: int,
-    k: int,
+def _semiconcomitant_terms(
+    terms: BracketTerms,
     family: CommutingFamily,
-    a: GeneralizedSection,
-    b: GeneralizedSection,
-) -> GeneralizedSection:
-    """T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b)."""
+    p: int,
+    q: int,
+    I: Exponents,
+    J: Exponents,
+    coeff,
+) -> None:
+    """Add coeff K_(p,q)(phi^I a, phi^J b) to ``terms``, term by term:
+    [[phi^(I+e_p) a, phi^(J+e_q) b]] - phi_p [[phi^I a, phi^(J+e_q) b]]
+    - phi_q [[phi^(I+e_p) a, phi^J b]] + phi_p phi_q [[phi^I a, phi^J b]]."""
+    phi_p, phi_q = family.member(p), family.member(q)
+    I_p, J_q = _raised(I, p), _raised(J, q)
+    identity = family.power_endo((0,) * family.n)
+    _add_term(terms, (I_p, J_q), identity.scale(coeff))
+    _add_term(terms, (I, J_q), phi_p.scale(-coeff))
+    _add_term(terms, (I_p, J), phi_q.scale(-coeff))
+    _add_term(terms, (I, J), phi_p.compose(phi_q).scale(coeff))
+
+
+def _raised(exponents: Exponents, i: int) -> Exponents:
+    """exponents + e_i, for a 1-based index i."""
+    return exponents[: i - 1] + (exponents[i - 1] + 1,) + exponents[i:]
+
+
+def _nonzero_terms(terms: BracketTerms) -> BracketTerms:
+    """The terms whose matrix has a nonzero entry; the rest need no bracket."""
+    return {key: m for key, m in terms.items() if any(m.nonzero)}
+
+
+def torsion_T_terms(i: int, j: int, k: int, family: CommutingFamily) -> BracketTerms:
+    """The derived tensor T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b)
+    as sum M_IJ [[phi^I a, phi^J b]], where K is the semiconcomitant
+
+        K_(p,q)(a,b) = [[p a, q b]] - p [[a, q b]] - q [[p a, b]] + p q [[a, b]].
+    """
     sig = family.signature
-    phi_k, phi_j, phi_i = family.member(k), family.member(j), family.member(i)
-    first = semiconcomitant(phi_k, phi_j, a, phi_i.apply(b)).scale(sig[i] * sig[k])
-    second = semiconcomitant(phi_k, phi_j, phi_i.apply(a), b).scale(sig[k])
-    return first - second
+    zero = (0,) * family.n
+    e_i = _raised(zero, i)
+    terms: BracketTerms = {}
+    _semiconcomitant_terms(terms, family, k, j, zero, e_i, sig[i] * sig[k])
+    _semiconcomitant_terms(terms, family, k, j, e_i, zero, -sig[k])
+    return _nonzero_terms(terms)
 
 
-def tensor_P(
-    i: int,
-    j: int,
-    family: CommutingFamily,
-    a: GeneralizedSection,
-    b: GeneralizedSection,
-) -> GeneralizedSection:
-    """P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b); symmetric indices only."""
+def tensor_P_terms(i: int, j: int, family: CommutingFamily) -> BracketTerms:
+    """The derived tensor P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b) as
+    sum M_IJ [[phi^I a, phi^J b]]; symmetric indices only."""
     sig = family.signature
     for idx in (i, j):
         if sig[idx] != 1:
             raise ValueError(f"index {idx} is skew; the P tensor needs symmetric indices")
-    phi_i, phi_j = family.member(i), family.member(j)
-    return semiconcomitant(phi_i, phi_j, a, b) - semiconcomitant(phi_j, phi_i, a, b)
+    zero = (0,) * family.n
+    terms: BracketTerms = {}
+    _semiconcomitant_terms(terms, family, i, j, zero, zero, 1)
+    _semiconcomitant_terms(terms, family, j, i, zero, zero, -1)
+    return _nonzero_terms(terms)

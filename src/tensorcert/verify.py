@@ -26,16 +26,15 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 from .chart import CommutingFamily, GeneralizedSection
 from .courant import (
-    courant_element,
+    BracketTable,
+    action_terms,
     inner_product,
-    polynomial_action,
-    tensor_P,
+    tensor_P_terms,
     tensoriality_check,
-    torsion_T,
+    torsion_T_terms,
 )
 from .fleet import FleetFamily
 from .groebner import (
@@ -496,26 +495,26 @@ def tensoriality_case(entry: FleetFamily) -> CaseResult:
     with _case("tensoriality", entry.name, claim, sig) as case:
         rng = _seed(case.case_id)
         ring = xyz_ring(n)
-        tau = courant_element(family.chart)
 
         index_triples = list(itertools.product(range(1, n + 1), repeat=3))
         rng.shuffle(index_triples)
-        # (witness label, generator, derived tensor) of each bridge identity
+        # (witness label, generator, derived tensor's bracket terms) of each identity
         bridges = [
-            (f"torsion bridge {i}{j}{k}", generator_T(i, j, k, sig, ring), partial(torsion_T, i, j, k))
+            (f"torsion bridge {i}{j}{k}", generator_T(i, j, k, sig, ring), torsion_T_terms(i, j, k, family))
             for i, j, k in index_triples[:4]
         ]
         bridges += [
-            (f"quadratic bridge {i}{j}", generator_P(i, j, sig, ring), partial(tensor_P, i, j))
+            (f"quadratic bridge {i}{j}", generator_P(i, j, sig, ring), tensor_P_terms(i, j, family))
             for i, j in itertools.combinations(range(1, n + 1), 2)
             if sig[i] == 1 and sig[j] == 1
         ]
         bridge_ok = 0
         for label, poly, tensor in bridges:
-            form = polynomial_action(poly, family, tau)
+            terms = action_terms(poly, family)
             for _ in range(BRIDGE_SAMPLES):
                 a, b, c = (random_section(rng, family) for _ in range(3))
-                if inner_product(tensor(family, a, b), c) == form(a, b, c):
+                table = BracketTable(family, a, b)
+                if inner_product(table.tensor(tensor), c) == table.action(terms, c):
                     bridge_ok += 1
                 else:
                     case.status = "fail"

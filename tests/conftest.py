@@ -9,7 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 from tensorcert import groebner
-from tensorcert.chart import Chart, Endomorphism, GeneralizedSection
+from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
+from tensorcert.courant import BracketTable, courant_bracket, tensor_P_terms, torsion_T_terms
 from tensorcert.groebner import GroebnerBasis, StepBudget
 from tensorcert.poly import Coefficient, MonomialOrder, Polynomial, PolyRing, leading_term
 from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
@@ -183,6 +184,57 @@ def reference_apply(endo: Endomorphism, section: GeneralizedSection) -> Generali
             acc = acc + entry * comp
         out.append(acc)
     return GeneralizedSection(chart, tuple(out[: chart.dim]), tuple(out[chart.dim :]))
+
+
+# -- the derived tensors: the package's bracket-table path and the plain definitions --
+
+
+def torsion_T(
+    i: int, j: int, k: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
+) -> GeneralizedSection:
+    """T^{ijk}(a, b) through one bracket table, as the tensoriality suite computes it."""
+    return BracketTable(family, a, b).tensor(torsion_T_terms(i, j, k, family))
+
+
+def tensor_P(
+    i: int, j: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
+) -> GeneralizedSection:
+    """P^{ij}(a, b) through one bracket table, as the tensoriality suite computes it."""
+    return BracketTable(family, a, b).tensor(tensor_P_terms(i, j, family))
+
+
+def semiconcomitant(
+    p1: Endomorphism, p2: Endomorphism, a: GeneralizedSection, b: GeneralizedSection
+) -> GeneralizedSection:
+    """K_(p1,p2)(a,b) =
+    [[p1 a, p2 b]] - p1 [[a, p2 b]] - p2 [[p1 a, b]] + p1 p2 [[a, b]]
+    for two members of a validated commuting family, one bracket at a time."""
+    p1_a, p2_b = p1.apply(a), p2.apply(b)
+    return (
+        courant_bracket(p1_a, p2_b)
+        - p1.apply(courant_bracket(a, p2_b))
+        - p2.apply(courant_bracket(p1_a, b))
+        + p1.apply(p2.apply(courant_bracket(a, b)))
+    )
+
+
+def reference_torsion_T(
+    i: int, j: int, k: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
+) -> GeneralizedSection:
+    """T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b), sequentially."""
+    sig = family.signature
+    phi_k, phi_j, phi_i = family.member(k), family.member(j), family.member(i)
+    first = semiconcomitant(phi_k, phi_j, a, phi_i.apply(b)).scale(sig[i] * sig[k])
+    second = semiconcomitant(phi_k, phi_j, phi_i.apply(a), b).scale(sig[k])
+    return first - second
+
+
+def reference_tensor_P(
+    i: int, j: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
+) -> GeneralizedSection:
+    """P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b), sequentially."""
+    phi_i, phi_j = family.member(i), family.member(j)
+    return semiconcomitant(phi_i, phi_j, a, b) - semiconcomitant(phi_j, phi_i, a, b)
 
 
 def reference_compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:

@@ -17,16 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exact_form, monic, seeded, vector_apply
+from conftest import exact_form, monic, seeded, tensor_P, torsion_T, vector_apply
 from tensorcert.chart import CommutingFamily, GeneralizedSection
 from tensorcert.courant import (
     courant_bracket,
     courant_element,
     inner_product,
     polynomial_action,
-    tensor_P,
     tensoriality_check,
-    torsion_T,
 )
 from tensorcert.fleet import build_fleet
 from tensorcert.groebner import membership

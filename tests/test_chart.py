@@ -172,6 +172,23 @@ class TestEndomorphisms:
             phi, psi = random_endo(rng, chart), random_endo(rng, chart)
             assert phi.compose(psi).adjoint() == psi.adjoint().compose(phi.adjoint())
 
+    def test_derived_results_equal_their_validated_construction(self):
+        # compose, scale, adjoint, + and apply skip the ring check; what they
+        # build must be what the checking constructors build from it
+        rng = seeded("endo-unchecked-construction")
+        for dim in (1, 2):
+            chart = Chart(dim)
+            for _ in range(6):
+                phi, psi = random_endo(rng, chart), random_endo(rng, chart)
+                s, t = random_section(rng, chart), random_section(rng, chart)
+                for endo in (phi.compose(psi), phi.scale(Fraction(-3, 2)), phi.adjoint(), phi + psi):
+                    checked = Endomorphism(chart, endo.rows)
+                    assert (endo.rows, endo.nonzero) == (checked.rows, checked.nonzero)
+                for section in (phi.apply(s), s + t, s - t, -s, s.scale(t.vector[0])):
+                    checked = GeneralizedSection(chart, section.vector, section.form)
+                    assert (section.vector, section.form) == (checked.vector, checked.form)
+                    assert type(section.vector) is type(section.form) is tuple
+
 
 class TestFamilies:
     def test_skew_single(self):
@@ -221,6 +238,13 @@ class TestFamilies:
                     for _ in range(e):
                         expected = reference_compose(expected, member)
                 assert family.power_endo(exponents) == expected, (entry.name, exponents)
+
+    def test_power_endo_rejects_malformed_keys(self):
+        family = next(e.family for e in build_fleet() if e.family.n == 2)
+        for key in ((1,), (1, 0, 5), (-1, 0)):
+            with pytest.raises(ValueError):
+                family.power_endo(key)
+            assert key not in family._power_cache
 
     def test_fleet_members_all_validate(self):
         # construction re-checks symmetry and commutation for every fixture

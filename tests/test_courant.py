@@ -1,7 +1,7 @@
 """Courant-algebroid axioms, the polynomial action, and the derived tensors."""
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -12,24 +12,27 @@ from conftest import (
     basis_vector,
     exact_form,
     permute_letters,
+    reference_tensor_P,
+    reference_torsion_T,
     relabel_indices,
     seeded,
+    semiconcomitant,
     substitute,
+    tensor_P,
+    torsion_T,
     vector_apply,
 )
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from tensorcert import courant
 from tensorcert.courant import (
-    BRACKET_MEMO_SIZE,
-    cached_bracket,
+    BracketTable,
+    action_terms,
     courant_bracket,
     courant_element,
     inner_product,
     polynomial_action,
-    semiconcomitant,
-    tensor_P,
     tensoriality_check,
-    torsion_T,
+    torsion_T_terms,
 )
 from tensorcert.fleet import build_fleet
 from tensorcert.ideals import (
@@ -615,40 +618,47 @@ class TestTorsionTensor:
 class TestBracketMemo:
     def test_bridge_sample_computes_each_bracket_once(self, monkeypatch):
         computed, requested = [], []
+        bracket = BracketTable.bracket
 
         def counted(a, b):
             computed.append((a, b))
             return courant_bracket(a, b)
 
-        def requesting(a, b):
-            requested.append((a, b))
-            return cached_bracket(a, b)
+        def requesting(table, I, J):
+            requested.append((I, J))
+            return bracket(table, I, J)
 
-        monkeypatch.setattr(courant, "_bracket_memo", {})
         monkeypatch.setattr(courant, "courant_bracket", counted)
-        monkeypatch.setattr(courant, "cached_bracket", requesting)
+        monkeypatch.setattr(BracketTable, "bracket", requesting)
         family = FLEET["generic-mixed-n2"]
         rng = seeded("bracket-reuse")
         a, b, c = (random_section(rng, family) for _ in range(3))
         poly = generator_T(1, 2, 1, family.signature, xyz_ring(family.n))
-        form = polynomial_action(poly, family, courant_element(family.chart))
-        value = inner_product(torsion_T(1, 2, 1, family, a, b), c)
-        assert value == form(a, b, c) and not value.is_zero()
-        assert len(computed) == len(set(requested)) < len(requested)
+        table = BracketTable(family, a, b)
+        value = inner_product(table.tensor(torsion_T_terms(1, 2, 1, family)), c)
+        assert value == table.action(action_terms(poly, family), c) and not value.is_zero()
+        # one bracket per distinct key, of the sections that key names, in first-request order
+        keys = list(dict.fromkeys(requested))
+        assert len(keys) < len(requested)
+        assert computed == [
+            (family.power_endo(I).apply(a), family.power_endo(J).apply(b)) for I, J in keys
+        ]
 
-    def test_memo_stays_within_its_bound(self, monkeypatch):
-        memo = {}
-        monkeypatch.setattr(courant, "_bracket_memo", memo)
-        chart = Chart(2)
-        rng = seeded("bracket-memo-bound")
-        b = rnd_section(rng, chart)
-        u2 = chart.coordinate(2)
-        firsts = [basis_vector(chart, 1).scale(u2**k) for k in range(2 * BRACKET_MEMO_SIZE)]
-        for a in firsts:
-            assert cached_bracket(a, b) == courant_bracket(a, b)
-            assert len(memo) <= BRACKET_MEMO_SIZE
-        assert len(memo) == BRACKET_MEMO_SIZE
-        assert (firsts[0], b) not in memo and (firsts[-1], b) in memo
+
+class TestDerivedTensorsAgainstReference:
+    @pytest.mark.parametrize("name", sorted(FLEET))
+    def test_table_path_matches_the_sequential_reference(self, name):
+        family = FLEET[name]
+        n = family.n
+        rng = seeded(f"derived-tensor-reference:{name}")
+        symmetric = [i for i in range(1, n + 1) if family.signature[i] == 1]
+        for _ in range(2):
+            a, b = random_section(rng, family), random_section(rng, family)
+            for i, j, k in product(range(1, n + 1), repeat=3):
+                expected = reference_torsion_T(i, j, k, family, a, b)
+                assert torsion_T(i, j, k, family, a, b) == expected
+            for i, j in product(symmetric, repeat=2):
+                assert tensor_P(i, j, family, a, b) == reference_tensor_P(i, j, family, a, b)
 
 
 class TestQuadraticTensor:

@@ -665,11 +665,22 @@ class TestCli:
         assert "Traceback" not in err
         assert err.count("error: --out") == 2 and len(err.strip().splitlines()) == 2
 
+    def test_import_loads_no_process_pool(self):
+        # only run_suite with more than one worker needs multiprocessing
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import tensorcert.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_workers_are_clamped(self, monkeypatch):
         import concurrent.futures
         import os
-
-        import tensorcert.cli as cli
 
         started = []
 
@@ -680,7 +691,7 @@ class TestCli:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         report = run_suite("knutson", 2, workers=64)  # 6 cases, 3 cpus
         assert started == [3]
