@@ -10,9 +10,9 @@ already in the ring skips that check through one private constructor each
 (``_section``, ``Endomorphism._unchecked``); public construction validates.
 
 The fleet's endomorphisms are block and diagonal matrices, mostly zeros, so
-an endomorphism keeps each row's nonzero (column, entry) pairs and every
-matrix operation forms only products of two nonzero entries.  An entry of a
-product that receives no product is the ring's zero, with no ``dot`` call.
+an endomorphism is only each row's nonzero (column, entry) pairs, columns
+ascending, a canonical form that equality and hashing read; every matrix
+operation forms only products of nonzero entries and keeps what is nonzero.
 """
 
 from __future__ import annotations
@@ -128,9 +128,10 @@ def _section(
 
 
 class Endomorphism:
-    """A 2n x 2n scalar matrix acting on (vector, form) stacked columns."""
+    """A 2n x 2n scalar matrix acting on (vector, form) stacked columns; the
+    constructor takes 2n dense rows and keeps their ``nonzero`` pairs."""
 
-    __slots__ = ("chart", "rows", "nonzero")
+    __slots__ = ("chart", "nonzero")
 
     def __init__(self, chart: Chart, rows: Sequence[Sequence[Polynomial]]):
         size = 2 * chart.dim
@@ -139,16 +140,15 @@ class Endomorphism:
             raise ValueError(f"matrix must be {size}x{size}")
         _check_ring(chart, chain.from_iterable(rows))
         self.chart = chart
-        self.rows = rows
-        self.nonzero = _nonzero(rows)
+        self.nonzero = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
 
     @classmethod
-    def _unchecked(cls, chart: Chart, rows: tuple[tuple[Polynomial, ...], ...]) -> "Endomorphism":
-        """A matrix from 2n rows of 2n entries already in the chart's ring."""
+    def _unchecked(cls, chart: Chart, nonzero: tuple) -> "Endomorphism":
+        """A matrix from its 2n rows of (column, entry) pairs: entries nonzero
+        and already in the chart's ring, columns ascending."""
         endo = object.__new__(cls)
         endo.chart = chart
-        endo.rows = rows
-        endo.nonzero = _nonzero(rows)
+        endo.nonzero = nonzero
         return endo
 
     @classmethod
@@ -164,19 +164,18 @@ class Endomorphism:
 
     @classmethod
     def identity(cls, chart: Chart) -> "Endomorphism":
-        z, o = chart.ring.zero, chart.ring.one
-        size = 2 * chart.dim
-        return cls(chart, [[o if i == j else z for j in range(size)] for i in range(size)])
+        one = chart.ring.one
+        return cls._unchecked(chart, tuple(((i, one),) for i in range(2 * chart.dim)))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Endomorphism)
             and self.chart == other.chart
-            and self.rows == other.rows
+            and self.nonzero == other.nonzero
         )
 
     def __hash__(self) -> int:
-        return hash((self.chart, self.rows))
+        return hash((self.chart, self.nonzero))
 
     def apply(self, section: GeneralizedSection) -> GeneralizedSection:
         _check_chart(self, section)
@@ -191,32 +190,35 @@ class Endomorphism:
 
         Each nonzero e = self[r][j] meets each nonzero f = other[j][c], and
         the product is scattered to entry (r, c); an entry that receives
-        products is one ``dot``, any other is the ring's zero.
+        products is one ``dot`` and is kept when that is nonzero.
         """
         _check_chart(self, other)
         ring = self.chart.ring
-        zero = ring.zero
-        cols = range(2 * self.chart.dim)
         rows = []
         for row in self.nonzero:
             products: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
             for j, e in row:
                 for c, f in other.nonzero[j]:
                     products.setdefault(c, []).append((e, f))
-            rows.append(tuple(dot(ring, products[c]) if c in products else zero for c in cols))
+            entries = ((c, dot(ring, products[c])) for c in sorted(products))
+            rows.append(tuple((c, e) for c, e in entries if e))
         return Endomorphism._unchecked(self.chart, tuple(rows))
 
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
         _check_chart(self, other)
-        return Endomorphism._unchecked(
-            self.chart,
-            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        rows = []
+        for a, b in zip(self.nonzero, other.nonzero):
+            entries = dict(a)
+            for c, f in b:
+                entries[c] = entries[c] + f if c in entries else f
+            rows.append(tuple((c, e) for c, e in sorted(entries.items()) if e))
+        return Endomorphism._unchecked(self.chart, tuple(rows))
 
     def scale(self, value) -> "Endomorphism":
-        """Multiply by a rational; a zero entry stays as it is."""
+        """Multiply by a rational; a zero factor leaves no entry."""
+        scaled = (((c, e.scale(value)) for c, e in row) for row in self.nonzero)
         return Endomorphism._unchecked(
-            self.chart, tuple(tuple(e.scale(value) if e else e for e in r) for r in self.rows)
+            self.chart, tuple(tuple((c, e) for c, e in row if e) for row in scaled)
         )
 
     def __neg__(self) -> "Endomorphism":
@@ -226,19 +228,12 @@ class Endomorphism:
         """The adjoint for the tautological pairing: block-swap transpose."""
         n = self.chart.dim
         size = 2 * n
-
-        def swap(i: int) -> int:
-            return (i + n) % size
-
-        rows = tuple(
-            tuple(self.rows[swap(c)][swap(r)] for c in range(size)) for r in range(size)
-        )
-        return Endomorphism._unchecked(self.chart, rows)
-
-
-def _nonzero(rows) -> tuple[tuple[tuple[int, Polynomial], ...], ...]:
-    """Per row, the (column, entry) pairs with a nonzero entry."""
-    return tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
+        rows: list[list[tuple[int, Polynomial]]] = [[] for _ in range(size)]
+        # entry (r, c) is entry (swap(c), swap(r)); ascending c keeps rows sorted
+        for c in range(size):
+            for j, e in self.nonzero[(c + n) % size]:
+                rows[(j + n) % size].append((c, e))
+        return Endomorphism._unchecked(self.chart, tuple(map(tuple, rows)))
 
 
 def _row_times(ring: PolyRing, row, values: Sequence[Polynomial]) -> Polynomial:

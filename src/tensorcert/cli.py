@@ -9,7 +9,8 @@ Subcommands::
     tensorcert intersect --a FILE --b FILE [--n N]
 
 Exit codes: 0 all pass, 1 failures, 2 budget exhaustion only, 3 usage error,
-4 internal error (with a traceback on stderr), 141 stdout closed by its reader.
+4 internal error (a case raised, or the run itself did; with a traceback on
+stderr), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ def _add_term(terms: BracketTerms, key: tuple[Exponents, Exponents], m: Endomorp
 
 def _columns(endo: Endomorphism) -> list[list[tuple[int, Polynomial]]]:
     """Per column c, the (row, entry) pairs with a nonzero entry."""
-    cols: list[list[tuple[int, Polynomial]]] = [[] for _ in endo.rows]
+    cols: list[list[tuple[int, Polynomial]]] = [[] for _ in endo.nonzero]
     for r, row in enumerate(endo.nonzero):
         for c, e in row:
             cols[c].append((r, e))

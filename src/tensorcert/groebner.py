@@ -238,16 +238,6 @@ def _remainder_terms(
             del p[m]
 
 
-def _divide_aligned(
-    p_terms: dict[int, Coefficient],
-    divisors: list[_Aligned],
-    budget: StepBudget,
-    guard: int,
-) -> dict[int, Coefficient]:
-    """The whole remainder of p, keyed largest first."""
-    return dict(_remainder_terms(p_terms, divisors, budget, guard))
-
-
 def _s_poly_aligned(
     f: _Aligned, g: _Aligned, shift_f: int, shift_g: int
 ) -> dict[int, Coefficient]:
@@ -326,7 +316,7 @@ def buchberger(
             s = _s_poly_aligned(gi, gj, shift_i, shift_j)
             if not s:
                 continue
-            r = _divide_aligned(s, basis, budget, packing.guard)
+            r = dict(_remainder_terms(s, basis, budget, packing.guard))
             if r:
                 monic_r = _monic_aligned(r)
                 basis.append(_Aligned(monic_r))
@@ -356,7 +346,7 @@ def buchberger_criterion(
             s = _s_poly_aligned(f, g, *packing.lcm_shifts(f, g))
             if not s:
                 continue
-            r = _divide_aligned(s, aligned, budget, packing.guard)
+            r = dict(_remainder_terms(s, aligned, budget, packing.guard))
             if r:
                 return False, packing.unalign(r)
     return True, None
@@ -379,7 +369,7 @@ def reduce_basis(basis: GroebnerBasis, step_budget: StepBudget | None = None) ->
     for pos, g in enumerate(kept):
         others = kept[:pos] + kept[pos + 1 :]
         if others:
-            r = _divide_aligned(g.terms, others, budget, packing.guard)
+            r = dict(_remainder_terms(g.terms, others, budget, packing.guard))
         else:
             r = g.terms
         result.append(r)

@@ -123,15 +123,11 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; equality is exact term-wise equality."""
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict[Exponents, Coefficient]):
         self.ring = ring
         self._terms = terms
-
-    def __reduce__(self):
-        # the cached hash is salted per process, so it never crosses a pickle
-        return Polynomial, (self.ring, self._terms)
 
     # -- inspection ---------------------------------------------------------
 
@@ -167,11 +163,7 @@ class Polynomial:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # first call: the terms never change, so cache it
-            self._hash = hash((self.ring, frozenset(self._terms.items())))
-            return self._hash
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         from .parse import render_polynomial  # cycle-free at call time

@@ -38,6 +38,8 @@ class CertReport:
 
     def exit_code(self) -> int:
         counts = self.summary()
+        if counts.get("error"):
+            return EXIT_INTERNAL
         if counts.get("fail"):
             return EXIT_FAILURES
         if counts.get("budget"):
@@ -77,15 +79,16 @@ def _text_report(report: CertReport) -> str:
     ]
     width = max((len(c.case_id) for c in report.cases), default=10)
     for case in report.sorted_cases():
-        mark = {"pass": "ok", "fail": "FAIL", "budget": "BUDGET"}[case.status]
+        mark = {"pass": "ok", "fail": "FAIL", "budget": "BUDGET", "error": "ERROR"}[case.status]
         lines.append(f"  {case.case_id:<{width}}  {mark:>6}  {case.wall_time_ms:>8} ms")
-        if case.status == "fail":
+        if case.status in ("fail", "error"):
             for w in case.witnesses[:3]:
                 lines.append(f"      witness: {w}")
     counts = report.summary()
     lines.append("")
+    errors = f", {counts['error']} error" if "error" in counts else ""
     lines.append(
         f"{counts['total']} cases: {counts['pass']} pass, "
-        f"{counts['fail']} fail, {counts['budget']} budget-exhausted"
+        f"{counts['fail']} fail, {counts['budget']} budget-exhausted{errors}"
     )
     return "\n".join(lines)

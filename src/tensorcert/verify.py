@@ -7,11 +7,13 @@ signatures (``_orbit_basis``), keeps this: a hit charges the steps the basis
 first cost, so a case's status does not depend on what ran before it.
 
 A verifier only states its checks.  It opens its record with ``_case``, one
-runner that builds the ``CaseResult``, times the body into ``wall_time_ms``
-and turns a ``BudgetExceededError`` into status ``budget``.  Each claim is
-recorded by ``CaseResult.check(key, ok, *witnesses)``: the detail flag is
-written in place (so report keys keep their order), and a false flag fails
-the case with the given witnesses.  Witnesses are rendered only on failure.
+runner that builds the ``CaseResult``, times the body into ``wall_time_ms``,
+turns a ``BudgetExceededError`` into status ``budget`` and any other
+exception into status ``error``, so one faulty case cannot end a sweep.
+Each claim is recorded by ``CaseResult.check(key, ok, *witnesses)``: the
+detail flag is written in place (so report keys keep their order), and a
+false flag fails the case with the given witnesses.  Witnesses are rendered
+only on failure.
 
 Ideal equalities (gen-set, knutson) are certified by syntactic equality of
 reduced Groebner bases under one order; reduced bases are unique for
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -89,7 +92,7 @@ class CaseResult:
     claim: str
     n: int
     signature: str
-    status: str  # pass | fail | budget
+    status: str  # pass | fail | budget | error
     witnesses: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
     wall_time_ms: int = 0
@@ -118,13 +121,19 @@ class CaseResult:
 
 @contextmanager
 def _case(suite: str, key: str, claim: str, sig: Signature):
-    """The one case runner: a passing record, timed, budget-aware."""
+    """The one case runner: a passing record, timed, budget-aware.  Any other
+    ``Exception`` makes the case an ``error`` witnessed by ``"<type>: <message>"``,
+    with its traceback on stderr."""
     case = CaseResult(f"{suite}/{key}", suite, claim, sig.n, str(sig), "pass")
     started = time.perf_counter()
     try:
         yield case
     except BudgetExceededError:
         case.status = "budget"
+    except Exception as exc:
+        traceback.print_exc()
+        case.status = "error"
+        case.witnesses.append(f"{type(exc).__name__}: {exc}")
     finally:
         case.wall_time_ms = int((time.perf_counter() - started) * 1000)
 

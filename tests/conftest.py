@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
@@ -12,7 +14,14 @@ from tensorcert import groebner
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from tensorcert.courant import BracketTable, courant_bracket, tensor_P_terms, torsion_T_terms
 from tensorcert.groebner import GroebnerBasis, StepBudget
-from tensorcert.poly import Coefficient, MonomialOrder, Polynomial, PolyRing, leading_term
+from tensorcert.poly import (
+    Coefficient,
+    Exponents,
+    MonomialOrder,
+    Polynomial,
+    PolyRing,
+    leading_term,
+)
 from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
 
 
@@ -90,8 +99,10 @@ def normal_form(
     packing, divisors = basis._divisors
     if f.ring != packing.ring:
         raise ValueError("dividend and divisors must share a ring")
-    remainder = groebner._divide_aligned(
-        packing.align(f), divisors, step_budget or StepBudget(), packing.guard
+    remainder = dict(
+        groebner._remainder_terms(
+            packing.align(f), divisors, step_budget or StepBudget(), packing.guard
+        )
     )
     return packing.unalign(remainder)
 
@@ -174,11 +185,23 @@ def multidegree_components(f: Polynomial) -> dict[tuple[int, ...], Polynomial]:
     return {degree: f.ring.from_terms(terms) for degree, terms in sorted(parts.items())}
 
 
+def dense_rows(endo: Endomorphism) -> tuple[tuple[Polynomial, ...], ...]:
+    """The 2n x 2n entries of a matrix, rebuilt from its nonzero ones."""
+    size = 2 * endo.chart.dim
+    rows = []
+    for row in endo.nonzero:
+        dense = [endo.chart.ring.zero] * size
+        for c, e in row:
+            dense[c] = e
+        rows.append(tuple(dense))
+    return tuple(rows)
+
+
 def reference_apply(endo: Endomorphism, section: GeneralizedSection) -> GeneralizedSection:
     """phi(s) row by column, adding one product at a time."""
     chart = section.chart
     out = []
-    for row in endo.rows:
+    for row in dense_rows(endo):
         acc = chart.ring.zero
         for entry, comp in zip(row, section.components()):
             acc = acc + entry * comp
@@ -237,13 +260,91 @@ def reference_tensor_P(
     return semiconcomitant(phi_i, phi_j, a, b) - semiconcomitant(phi_j, phi_i, a, b)
 
 
+# -- the bridge identities formally: exponent bookkeeping, no family, no bracket --
+
+# a derived tensor sum M_IJ [[phi^I a, phi^J b]] with M_IJ = sum_K s_K phi^K,
+# as (I, J) -> {K: s_K}, which means the same on every family of the signature
+FormalTerms = dict[tuple[Exponents, Exponents], dict[Exponents, Coefficient]]
+
+
+def _unit(n: int, p: int) -> Exponents:
+    """e_p, for a 1-based index p."""
+    return tuple(int(i == p) for i in range(1, n + 1))
+
+
+def _plus(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(map(add, a, b))
+
+
+def add_formal_semiconcomitant(
+    terms: FormalTerms, p: int, q: int, I: Exponents, J: Exponents, c: Coefficient
+) -> None:
+    """Add c K_(p,q)(phi^I a, phi^J b) =
+    c ([[phi^(I+e_p) a, phi^(J+e_q) b]] - phi_p [[phi^I a, phi^(J+e_q) b]]
+    - phi_q [[phi^(I+e_p) a, phi^J b]] + phi^(e_p+e_q) [[phi^I a, phi^J b]])."""
+    n = len(I)
+    e_p, e_q = _unit(n, p), _unit(n, q)
+    for key, K, s in (
+        ((_plus(I, e_p), _plus(J, e_q)), (0,) * n, c),
+        ((I, _plus(J, e_q)), e_p, -c),
+        ((_plus(I, e_p), J), e_q, -c),
+        ((I, J), _plus(e_p, e_q), c),
+    ):
+        outer = terms.setdefault(key, {})
+        outer[K] = outer.get(K, 0) + s
+
+
+def without_zero_terms(terms: FormalTerms) -> FormalTerms:
+    """The terms with zero coefficients, and then empty keys, dropped."""
+    kept = {key: {K: s for K, s in outer.items() if s} for key, outer in terms.items()}
+    return {key: outer for key, outer in kept.items() if outer}
+
+
+def formal_torsion_T(i: int, j: int, k: int, sig: Signature) -> FormalTerms:
+    """T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b), formally."""
+    zero, e_i = (0,) * sig.n, _unit(sig.n, i)
+    terms: FormalTerms = {}
+    add_formal_semiconcomitant(terms, k, j, zero, e_i, sig[i] * sig[k])
+    add_formal_semiconcomitant(terms, k, j, e_i, zero, -sig[k])
+    return without_zero_terms(terms)
+
+
+def formal_tensor_P(i: int, j: int, sig: Signature) -> FormalTerms:
+    """P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b), formally."""
+    zero = (0,) * sig.n
+    terms: FormalTerms = {}
+    add_formal_semiconcomitant(terms, i, j, zero, zero, 1)
+    add_formal_semiconcomitant(terms, j, i, zero, zero, -1)
+    return without_zero_terms(terms)
+
+
+def formal_action(poly: Polynomial, sig: Signature) -> FormalTerms:
+    """The polynomial action as the tensor it pairs with c: (I, J) -> {K: c e^K}
+    over the terms c x^I y^J z^K, because (phi^K)* = e^K phi^K."""
+    out: FormalTerms = {}
+    for I, J, K, c in split_terms(poly):
+        out.setdefault((I, J), {})[K] = c * sig.power(K)
+    return without_zero_terms(out)
+
+
+def instantiate(terms: FormalTerms, family: CommutingFamily) -> dict:
+    """(I, J) -> sum_K s_K phi^K on one family, zero matrices dropped."""
+    out = {}
+    for key, outer in terms.items():
+        m = reduce(add, (family.power_endo(K).scale(s) for K, s in outer.items()))
+        if any(m.nonzero):
+            out[key] = m
+    return out
+
+
 def reference_compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     """The matrix product phi psi, row by column, one product at a time."""
     size = range(2 * phi.chart.dim)
     zero = phi.chart.ring.zero
+    phi_rows, psi_rows = dense_rows(phi), dense_rows(psi)
     return Endomorphism(
         phi.chart,
-        [[sum((row[k] * psi.rows[k][c] for k in size), zero) for c in size] for row in phi.rows],
+        [[sum((row[k] * psi_rows[k][c] for k in size), zero) for c in size] for row in phi_rows],
     )
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     basis_sections,
     basis_vector,
+    dense_rows,
     polynomials,
     reference_apply,
     reference_compose,
@@ -143,6 +144,29 @@ class TestEndomorphisms:
         assert phi.apply(s) == reference_apply(phi, s)
         assert phi.compose(psi) == reference_compose(phi, psi)
 
+    @given(data=st.data(), dim=st.integers(1, 3), value=st.fractions(-3, 3, max_denominator=3))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_scale_and_adjoint_match_the_dense_reference(self, data, dim, value):
+        chart = Chart(dim)
+        size = range(2 * dim)
+        phi = data.draw(sparse_endomorphisms(chart))
+        psi = data.draw(sparse_endomorphisms(chart))
+        a, b = dense_rows(phi), dense_rows(psi)
+        assert phi + psi == Endomorphism(chart, [[a[r][c] + b[r][c] for c in size] for r in size])
+        assert phi.scale(value) == Endomorphism(chart, [[e.scale(value) for e in row] for row in a])
+
+        def swap(i):
+            return (i + dim) % (2 * dim)
+
+        adjoint = Endomorphism(chart, [[a[swap(c)][swap(r)] for c in size] for r in size])
+        assert phi.adjoint() == adjoint
+        # entries that cancel or scale to zero leave the sparse rows, as in the
+        # validated zero matrix
+        zero = Endomorphism(chart, [[chart.ring.zero for _ in size] for _ in size])
+        cancelled = phi + phi.scale(-1)
+        assert cancelled == zero == phi.scale(0)
+        assert cancelled.nonzero == zero.nonzero == tuple(() for _ in size)
+
     def test_unit_rows_share_the_component(self):
         chart = Chart(2)
         s = random_section(seeded("endo-unit-rows"), chart)
@@ -182,8 +206,8 @@ class TestEndomorphisms:
                 phi, psi = random_endo(rng, chart), random_endo(rng, chart)
                 s, t = random_section(rng, chart), random_section(rng, chart)
                 for endo in (phi.compose(psi), phi.scale(Fraction(-3, 2)), phi.adjoint(), phi + psi):
-                    checked = Endomorphism(chart, endo.rows)
-                    assert (endo.rows, endo.nonzero) == (checked.rows, checked.nonzero)
+                    checked = Endomorphism(chart, dense_rows(endo))
+                    assert (dense_rows(endo), endo.nonzero) == (dense_rows(checked), checked.nonzero)
                 for section in (phi.apply(s), s + t, s - t, -s, s.scale(t.vector[0])):
                     checked = GeneralizedSection(chart, section.vector, section.form)
                     assert (section.vector, section.form) == (checked.vector, checked.form)

@@ -7,10 +7,15 @@ import pytest
 
 from conftest import (
     S3,
+    add_formal_semiconcomitant,
     basis_form,
     basis_sections,
     basis_vector,
     exact_form,
+    formal_action,
+    formal_tensor_P,
+    formal_torsion_T,
+    instantiate,
     permute_letters,
     reference_tensor_P,
     reference_torsion_T,
@@ -21,6 +26,7 @@ from conftest import (
     tensor_P,
     torsion_T,
     vector_apply,
+    without_zero_terms,
 )
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from tensorcert import courant
@@ -31,6 +37,7 @@ from tensorcert.courant import (
     courant_element,
     inner_product,
     polynomial_action,
+    tensor_P_terms,
     tensoriality_check,
     torsion_T_terms,
 )
@@ -659,6 +666,66 @@ class TestDerivedTensorsAgainstReference:
                 assert torsion_T(i, j, k, family, a, b) == expected
             for i, j in product(symmetric, repeat=2):
                 assert tensor_P(i, j, family, a, b) == reference_tensor_P(i, j, family, a, b)
+
+
+def _bridge_identities(max_n: int):
+    """(signature, derived tensor formally, its generator) of every T^{ijk} and
+    every symmetric P^{ij}, i < j, at every signature with N <= max_n."""
+    for n in range(1, max_n + 1):
+        ring = xyz_ring(n)
+        for sig in Signature.sweep(n):
+            for i, j, k in product(range(1, n + 1), repeat=3):
+                yield sig, formal_torsion_T(i, j, k, sig), generator_T(i, j, k, sig, ring)
+            for i, j in product(range(1, n + 1), repeat=2):
+                if i < j and sig[i] == sig[j] == 1:
+                    yield sig, formal_tensor_P(i, j, sig), generator_P(i, j, sig, ring)
+
+
+class TestBridgeIdentitiesFormally:
+    """<T(a, b), c> and <P(a, b), c> equal their generators' action for every
+    commuting family of the signature: the same bracket keys carry the same
+    outer sums of powers of phi, with no family and no bracket evaluated."""
+
+    def test_every_identity_holds_at_n_up_to_four(self):
+        identities = list(_bridge_identities(4))
+        assert len(identities) == 1274 + 31
+        for sig, derived, poly in identities:
+            assert derived == formal_action(poly, sig), (str(sig), poly)
+
+    def test_fleet_terms_are_the_formal_expansion(self):
+        checked = 0
+        for family in FLEET.values():
+            sig, n = family.signature, family.n
+            for i, j, k in product(range(1, n + 1), repeat=3):
+                expected = instantiate(formal_torsion_T(i, j, k, sig), family)
+                assert torsion_T_terms(i, j, k, family) == expected
+                checked += 1
+            for i, j in product(range(1, n + 1), repeat=2):
+                if i < j and sig[i] == sig[j] == 1:
+                    expected = instantiate(formal_tensor_P(i, j, sig), family)
+                    assert tensor_P_terms(i, j, family) == expected
+                    checked += 1
+        assert checked == 220
+
+    def test_mutations_break_identities(self):
+        # at N <= 3: e_i dropped from the first torsion coefficient, and the
+        # generator's split compared without the e^K twist
+        checked = broken_eps_i = broken_twist = 0
+        for n in range(1, 4):
+            ring, zero = xyz_ring(n), (0,) * n
+            for sig in Signature.sweep(n):
+                for i, j, k in product(range(1, n + 1), repeat=3):
+                    poly = generator_T(i, j, k, sig, ring)
+                    e_i = tuple(int(m == i) for m in range(1, n + 1))
+                    terms = {}
+                    add_formal_semiconcomitant(terms, k, j, zero, e_i, sig[k])
+                    add_formal_semiconcomitant(terms, k, j, e_i, zero, -sig[k])
+                    broken_eps_i += without_zero_terms(terms) != formal_action(poly, sig)
+                    untwisted = formal_action(poly, Signature((1,) * n))
+                    broken_twist += formal_torsion_T(i, j, k, sig) != untwisted
+                    checked += 1
+        assert checked == 250
+        assert (broken_eps_i, broken_twist) == (125, 165)
 
 
 class TestQuadraticTensor:

@@ -2,10 +2,10 @@
 
 A definition is reached when its name is referenced (as a name or an
 attribute) somewhere in ``src/tensorcert`` outside its own body, or anywhere
-in ``perfbench/``, whose tracer also names functions in strings.  The
-package's ``__init__`` re-exports do not count, and neither do dunders, which
-Python calls by protocol.  Code that only the tests reach belongs in the
-tests.  The sources are parsed, never imported.
+in ``perfbench/``, whose tracer also names functions in strings.  Dunders do
+not count, as Python calls them by protocol.  Code that only the tests reach
+belongs in the tests.  The package's ``__init__`` imports nothing, so no
+re-export can count as a caller.  The sources are parsed, never imported.
 """
 
 import ast
@@ -51,10 +51,9 @@ def _perfbench_names() -> set[str]:
 def unreached_definitions() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     uses: dict[str, list[ast.AST]] = {}
-    for module, tree in trees.items():
-        if module != "__init__":
-            for name, node in _references(tree):
-                uses.setdefault(name, []).append(node)
+    for tree in trees.values():
+        for name, node in _references(tree):
+            uses.setdefault(name, []).append(node)
     bench = _perfbench_names()
     unreached = []
     for module, tree in sorted(trees.items()):
@@ -72,3 +71,9 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
     assert (SRC / "verify.py").is_file() and (PERFBENCH / "layertrace.py").is_file()
     unreached = unreached_definitions()
     assert not unreached, "only the tests reach: " + ", ".join(unreached)
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [sub for sub in ast.walk(tree) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"src/tensorcert/__init__.py imports at line {imports[0].lineno}"

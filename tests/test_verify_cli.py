@@ -343,6 +343,22 @@ class TestReport:
             case.wall_time_ms = 0
         assert first.to_dict() == second.to_dict()
 
+    def test_error_case_has_its_mark_count_and_exit_code(self):
+        from tensorcert.verify import CaseResult
+
+        report = self.build()
+        plain = emit_report(report, "text")
+        assert "ERROR" not in plain and "error" not in plain
+        report.cases.append(
+            CaseResult("knutson/N1/demo", "knutson", "demo", 1, "+", "error", ["ValueError: demo"])
+        )
+        text = emit_report(report, "text")
+        assert re.search(r"knutson/N1/demo\s+ERROR", text)
+        assert "      witness: ValueError: demo" in text
+        assert text.endswith("3 cases: 2 pass, 0 fail, 0 budget-exhausted, 1 error")
+        assert report.summary() == {"pass": 2, "fail": 0, "budget": 0, "error": 1, "total": 3}
+        assert report.exit_code() == 4
+
     def test_failing_case_witnesses_parse(self):
         from tensorcert.parse import parse_polynomial
         from tensorcert.verify import CaseResult
@@ -445,6 +461,40 @@ class TestCli:
         assert main(["certify", "--suite", "knutson", "--n", "1"]) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err and "ValueError: an engine fault" in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_case_is_an_error_and_the_sweep_goes_on(
+        self, workers, monkeypatch, capsys, tmp_path
+    ):
+        import multiprocessing
+
+        import tensorcert.verify as verify
+
+        if workers > 1 and multiprocessing.get_context().get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the patched callee")
+        knutson_F = verify.knutson_F
+
+        def raises_at_plus_minus(sig):
+            if str(sig) == "+-":
+                raise MemoryError("no room at +-")
+            return knutson_F(sig)
+
+        monkeypatch.setattr(verify, "knutson_F", raises_at_plus_minus)
+        out = tmp_path / "report.json"
+        argv = ["certify", "--suite", "knutson", "--n", "2", "--format", "json"]
+        assert main(argv + ["--out", str(out), "--workers", str(workers)]) == 4
+        captured = capsys.readouterr()
+        printed = json.loads(captured.out)
+        assert json.loads(out.read_text()) == printed
+        assert printed["summary"] == {"pass": 5, "fail": 0, "budget": 0, "error": 1, "total": 6}
+        errored = [
+            (case["case_id"], case["witnesses"])
+            for case in printed["cases"]
+            if case["status"] == "error"
+        ]
+        assert errored == [("knutson/N2/+-", ["MemoryError: no room at +-"])]
+        if workers == 1:  # a worker's stderr is its own
+            assert "Traceback" in captured.err and "MemoryError: no room at +-" in captured.err
 
     def test_tensoriality_suite_builds_fleet_once(self, monkeypatch):
         import tensorcert.cli as cli
