@@ -5,12 +5,16 @@ For a signature eps the three axis ideals are
     I^x = <y_i - eps_i z_i>,   I^y = <z_i - eps_i x_i>,   I^z = <x_i - eps_i y_i>
 
 and the universally tensorial ideal is their intersection.  Membership in it
-has two independent oracles besides Groebner membership: a linear system on
-the coefficient tensor, and vanishing on the three linear subvarieties, each
+has two oracles besides Groebner membership: a linear system on the
+coefficient tensor, and vanishing on the three linear subvarieties, each
 reached by a signed renaming of one letter.  Both read the exponent split
 x^I y^J z^K once, and take every sign eps^E from the parity of E's skew
 exponents: the variety oracle maps each term to its signed image in one dict
-pass per subvariety, with no intermediate polynomial.
+pass per subvariety, with no intermediate polynomial.  The two are not
+independent of each other: each sums the same signed coefficients into the
+same (key, sign) buckets, so they agree by construction.  Groebner
+membership checks them independently, and so do the tests' references
+(grouping by ``Signature.power``, and substituting polynomials).
 
 Intersections use the t-trick, I cap J = (tI + (1-t)J) cap Q[x, y, z], and
 this module owns both halves of it and its order: ``scale_into_t_ring`` ranks

@@ -171,8 +171,15 @@ def j_ideal_presentation(sig: Signature) -> IdealPresentation:
 
 
 def tensorial_ideal_basis(sig: Signature, budget: StepBudget | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the triple intersection, via the t-trick."""
-    return intersect_pair(*_j_ideal_factors(sig), budget)
+    """Reduced Groebner basis of the triple intersection, via the t-trick.
+
+    The products come first: t I^y I^z + (1-t) I^x.  Both factors carry
+    ``index_desc_order``, and reduced bases are unique for (ideal, order),
+    so this is the t-free part of ``j_ideal_presentation``'s reduced basis;
+    listing the products first takes about half the Buchberger steps.
+    """
+    i_x, products = _j_ideal_factors(sig)
+    return intersect_pair(products, i_x, budget)
 
 
 # orbit representative -> (its t-trick basis, the steps that basis cost)
@@ -185,7 +192,8 @@ def _orbit_basis(sig: Signature, budget: StepBudget) -> GroebnerBasis:
     I_eps is built index by index, so renumbering the indices by a
     permutation maps I_eps onto the ideal of the permuted signature.  The
     orbit's representative lists the symmetric indices first (a stable
-    sort); its reduced t-trick basis is computed once and memoised with the
+    sort); its reduced t-trick basis, from ``tensorial_ideal_basis`` with the
+    products I^y I^z listed first, is computed once and memoised with the
     steps it cost, and a memo hit charges those steps to ``budget`` again.
     Renaming the representative's index k to the k-th index of that sort
     gives a reduced basis of I_sig under the renamed lex order.

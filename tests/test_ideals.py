@@ -31,6 +31,7 @@ from tensorcert.groebner import (
 from tensorcert.ideals import (
     build_axis_ideals,
     candidate_basis,
+    eliminate,
     generator_P,
     generator_T,
     ideal_contains,
@@ -42,7 +43,12 @@ from tensorcert.ideals import (
 )
 from tensorcert.parse import parse_polynomial, render_polynomial
 from tensorcert.poly import leading_term
-from tensorcert.verify import _orbit_basis, random_polynomial, tensorial_ideal_basis
+from tensorcert.verify import (
+    _orbit_basis,
+    j_ideal_presentation,
+    random_polynomial,
+    tensorial_ideal_basis,
+)
 from tensorcert.xyz import (
     Signature,
     index_desc_order,
@@ -360,6 +366,15 @@ def test_random_polynomial_draws_are_pinned():
         "x1*x2^2*y1 - x2*z1*z2",
     ]
     assert rng.random() == 0.5106819263043376
+
+
+@pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3 + [Signature.parse("++++")], ids=str)
+def test_products_first_basis_equals_the_j_presentations(sig):
+    # tensorial_ideal_basis lists I^y I^z first, gen-set's J lists I^x first;
+    # reduced bases are unique for (ideal, order), so the two must agree
+    j_basis = eliminate(groebner_basis(j_ideal_presentation(sig)))
+    assert basis_of(sig).order == j_basis.order
+    assert basis_of(sig).elements == j_basis.elements
 
 
 @pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3, ids=str)

@@ -240,11 +240,12 @@ class TestOrbitMemo:
         [
             ("-+", "+-", BUDGET),
             ("+", "+", 1),
-            # the orbit's representative +- costs 1,235 steps, -+ alone 1,180
-            ("-+", "+-", 1_234),
-            # the basis and the samples take 1,235 + 3,981 steps, the samples
+            # the orbit's representative +- costs 692 steps (-+ alone would
+            # cost 742): one step short of it, cold and warm runs both run out
+            ("-+", "+-", 691),
+            # the basis and the samples take 692 + 3,981 steps, the samples
             # alone fit: a hit that charged nothing would pass
-            ("-+", "+-", 5_000),
+            ("-+", "+-", 4_500),
             ("-++", "+-+", BUDGET),
         ],
         ids=["default", "one-step", "below-representative", "basis-and-samples", "three-cycle"],
@@ -264,10 +265,11 @@ class TestOrbitMemo:
         import tensorcert.verify as verify
 
         built = []
+        real = verify.tensorial_ideal_basis
 
         def counted(sig, budget=None):
             built.append(str(sig))
-            return verify.intersect_pair(*verify._j_ideal_factors(sig), budget)
+            return real(sig, budget)
 
         monkeypatch.setattr(verify, "tensorial_ideal_basis", counted)
         for text in ("+-+", "-++", "++-", "--+"):
