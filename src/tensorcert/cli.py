@@ -9,8 +9,9 @@ Subcommands::
     tensorcert intersect --a FILE --b FILE [--n N]
 
 Exit codes: 0 all pass, 1 failures, 2 budget exhaustion only, 3 usage error,
-4 internal error (a case raised, or the run itself did; with a traceback on
-stderr), 141 stdout closed by its reader.
+4 internal error (a case raised, with its traceback on stderr, or was lost
+with its worker process; or the run itself raised, with a traceback), 141
+stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .ideals import candidate_basis, intersect_pair
 from .parse import ParseError, parse_polynomial, render_polynomial, tokenize
 from .report import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INTERNAL, CertReport, emit_report
 from .verify import (
-    CaseResult,
     gen_set_case,
     knutson_case,
+    lost_case,
     oracle_equivalence_case,
     squeeze_case,
     tensoriality_case,
@@ -176,10 +177,6 @@ def _case_calls(suite: str, n_max: int, sigs: list[Signature] | None, budget: in
     return calls
 
 
-def _call(case_call) -> CaseResult:
-    return case_call()
-
-
 def run_suite(
     suite: str,
     n_max: int,
@@ -194,9 +191,17 @@ def run_suite(
     if processes > 1:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            cases = list(pool.map(_call, calls))
+            futures = [pool.submit(call) for call in calls]
+        cases = []
+        for call, future in zip(calls, futures):
+            try:
+                cases.append(future.result())
+            except BrokenProcessPool as exc:
+                # a worker process died, failing every call still unfinished
+                cases.append(lost_case(call, exc))
     else:
         cases = [call() for call in calls]
     order_note = (

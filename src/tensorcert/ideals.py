@@ -9,8 +9,10 @@ has two oracles besides Groebner membership: a linear system on the
 coefficient tensor, and vanishing on the three linear subvarieties, each
 reached by a signed renaming of one letter.  Both read the exponent split
 x^I y^J z^K once, and take every sign eps^E from the parity of E's skew
-exponents: the variety oracle maps each term to its signed image in one dict
-pass per subvariety, with no intermediate polynomial.  The two are not
+exponents, which one ``operator.itemgetter`` from ``_skew_exponents`` picks
+out of E (a single skew index as a one-element slice, so the sum is always
+over a tuple): the variety oracle maps each term to its signed image in one
+dict pass per subvariety, with no intermediate polynomial.  The two are not
 independent of each other: each sums the same signed coefficients into the
 same (key, sign) buckets, so they agree by construction.  Groebner
 membership checks them independently, and so do the tests' references
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
+from typing import Callable
 
 from .groebner import (
     GroebnerBasis,
@@ -37,7 +40,7 @@ from .groebner import (
     groebner_basis,
     membership,
 )
-from .poly import Coefficient, MonomialOrder, Polynomial, PolyRing
+from .poly import Coefficient, Exponents, MonomialOrder, Polynomial, PolyRing
 from .xyz import Signature, ring_size, split_terms, uses_t, xyz_ring
 
 
@@ -126,13 +129,18 @@ def candidate_basis(sig: Signature, ring: PolyRing | None = None) -> CandidateBa
 # -- the two non-Groebner oracles ----------------------------------------------
 
 
-def _skew_positions(f: Polynomial, sig: Signature) -> list[int]:
-    """The 0-based positions of sig's skew entries; eps^E = -1 iff the
-    exponents of E at them have an odd sum.  sig must match f's N."""
+def _skew_exponents(f: Polynomial, sig: Signature) -> Callable[[Exponents], tuple[int, ...]]:
+    """One ``itemgetter`` taking an exponent vector E to its exponents at
+    sig's skew positions, always as a tuple: eps^E = -1 iff they have an odd
+    sum.  sig must match f's N."""
     n = ring_size(f.ring)
     if n != sig.n:
         raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
-    return [i for i, e in enumerate(sig) if e == -1]
+    skew = [i for i, e in enumerate(sig) if e == -1]
+    if len(skew) > 1:
+        return itemgetter(*skew)
+    # a single index would come back bare, so take it as a slice
+    return itemgetter(slice(skew[0], skew[0] + 1) if skew else slice(0))
 
 
 def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
@@ -162,7 +170,7 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     family by family: a polynomial that fails here can still be tensorial on
     one family.
     """
-    skew = _skew_positions(f, sig)
+    skew = _skew_exponents(f, sig)
     buckets: dict[tuple, Coefficient] = {}
     get = buckets.get
     for I, J, K, a in split_terms(f):
@@ -171,7 +179,7 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
             ((1, K, tuple(map(add, I, J))), I),  # a_{J, T-J, I}: J = I, I = K
             ((2, J, tuple(map(add, I, K))), K),  # a_{T-J, I, J}: J = K, I = J
         ):
-            buckets[key] = get(key, 0) + (-a if sum([E[i] for i in skew]) & 1 else a)
+            buckets[key] = get(key, 0) + (-a if sum(skew(E)) & 1 else a)
     return not any(buckets.values())
 
 
@@ -185,7 +193,7 @@ def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
     parity of J's skew exponents, and each substitution is one pass that
     sums the signed coefficients by image monomial.
     """
-    skew = _skew_positions(f, sig)
+    skew = _skew_exponents(f, sig)
     terms = split_terms(f)
     # (substituted, untouched, receiving) positions in (I, J, K)
     for src, keep, dst in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
@@ -194,7 +202,7 @@ def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
         for term in terms:
             E, a = term[src], term[3]
             key = (term[keep], tuple(map(add, E, term[dst])))
-            image[key] = get(key, 0) + (-a if sum([E[i] for i in skew]) & 1 else a)
+            image[key] = get(key, 0) + (-a if sum(skew(E)) & 1 else a)
         if any(image.values()):
             return False
     return True

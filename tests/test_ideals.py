@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    S3,
     monic,
     multidegree_components,
     polynomials,
@@ -15,6 +16,7 @@ from conftest import (
     relabel_indices,
     membership_by_normal_form,
     normal_form,
+    permute_letters,
     seeded,
     substitute,
     variety_by_substitution,
@@ -385,12 +387,15 @@ def test_orbit_basis_generates_the_ideal(sig):
     assert all(membership(g, orbit) for g in own.elements)
     assert buchberger_criterion(orbit.elements, orbit.order) == (True, None)
     # the representative lists the symmetric indices first; its index k is
-    # renamed to the index of sig it came from
+    # renamed to the index of sig it came from, and its letters are shifted
+    # x -> y -> z -> x, which maps I_eps onto itself and ranks x last
     origin = [i for i in range(1, sig.n + 1) if sig[i] == 1]
     origin += [i for i in range(1, sig.n + 1) if sig[i] == -1]
     rep = Signature(tuple(sig[i] for i in origin))
     rho = {k: i for k, i in enumerate(origin, 1)}
-    assert orbit.elements == tuple(relabel_indices(g, rho) for g in basis_of(rep).elements)
+    assert orbit.elements == tuple(
+        permute_letters(relabel_indices(g, rho), S3["(123)"]) for g in basis_of(rep).elements
+    )
 
 
 @given(sample=oracle_samples())
