@@ -1,11 +1,13 @@
 """Buchberger's algorithm, ordered division, reduced bases and monomial ideals.
 
 The pair schedule is part of the contract: pairs (i, j), i < j, are processed
-in lexicographic order of (j, i) over the current generator list, dividing
-against the current list in list order, and nonzero remainders are appended
-monic at the tail.  Pairs whose leading monomials are coprime are always
-skipped, because their S-polynomials reduce to zero (Buchberger's first
-criterion); ``buchberger_criterion`` stays the honest all-pairs check.
+in lexicographic order of (j, i) over one working list, dividing against it
+in list order.  The list is monic throughout: it starts as the inputs made
+monic, each nonzero remainder is appended monic at the tail, and the whole
+list is what ``buchberger`` returns.  Pairs whose leading monomials are
+coprime are always skipped, because their S-polynomials reduce to zero
+(Buchberger's first criterion); ``buchberger_criterion`` stays the honest
+all-pairs check.
 Division has one kernel, which hands out the remainder's terms largest first;
 a term leaves the dividend only once no leading monomial divides it, and no
 later step reaches it again.  So ``membership`` decides at the first
@@ -299,13 +301,14 @@ def buchberger(
     """Plain Buchberger with the documented deterministic pair schedule.
 
     Coprime-lead pairs are skipped: their S-polynomials always reduce to zero.
+    Returns the whole working list, which is monic throughout: the inputs
+    made monic, then each nonzero remainder made monic.
     """
     packing = _Packing(presentation.order, presentation.ring)
     budget = step_budget or StepBudget()
-    originals = [packing.align(g) for g in presentation.generators]
     # dividing by scaled copies changes quotients but never remainders, so the
     # working list is monic to keep coefficient growth down
-    basis = [_Aligned(_monic_aligned(terms)) for terms in originals]
+    basis = [_Aligned(_monic_aligned(packing.align(g))) for g in presentation.generators]
     j = 1
     while j < len(basis):
         for i in range(j):
@@ -318,11 +321,9 @@ def buchberger(
                 continue
             r = dict(_remainder_terms(s, basis, budget, packing.guard))
             if r:
-                monic_r = _monic_aligned(r)
-                basis.append(_Aligned(monic_r))
-                originals.append(monic_r)
+                basis.append(_Aligned(_monic_aligned(r)))
         j += 1
-    return GroebnerBasis(tuple(map(packing.unalign, originals)), presentation.order)
+    return GroebnerBasis(tuple(packing.unalign(g.terms) for g in basis), presentation.order)
 
 
 def buchberger_criterion(
@@ -368,11 +369,7 @@ def reduce_basis(basis: GroebnerBasis, step_budget: StepBudget | None = None) ->
     result = []
     for pos, g in enumerate(kept):
         others = kept[:pos] + kept[pos + 1 :]
-        if others:
-            r = dict(_remainder_terms(g.terms, others, budget, packing.guard))
-        else:
-            r = g.terms
-        result.append(r)
+        result.append(dict(_remainder_terms(g.terms, others, budget, packing.guard)))
     result.sort(key=max)
     return GroebnerBasis(tuple(map(packing.unalign, result)), basis.order)
 

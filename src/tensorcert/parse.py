@@ -7,6 +7,7 @@ Grammar (whitespace-insensitive, explicit ``*`` only)::
     factor   := rational | var ('^' nat)? | '(' expr ')'
     var      := 't' | ('x'|'y'|'z'|'u') nat
     rational := nat ('/' nat)?
+    nat      := [0-9]+
 
 Rendering is canonical: terms in decreasing order, coefficient written only
 when different from +-1, so ``parse(render(f)) == f`` exactly.
@@ -14,12 +15,11 @@ when different from +-1, so ``parse(render(f)) == f`` exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import MonomialOrder, Polynomial, PolyRing, sorted_terms
-
-VAR_LETTERS = "txyzu"
 
 
 class ParseError(ValueError):
@@ -38,45 +38,28 @@ class _Token:
     col: int
 
 
+# one alternative per token kind, tried in this order; ``\s`` is Unicode
+# whitespace and anything else is an error
+_TOKEN = re.compile(
+    r"(?P<nat>[0-9]+)|(?P<name>[txyzu][0-9]*)|(?P<op>[-+*^()/])|(?P<space>\s+)|(?P<bad>.)"
+)
+
+
 def tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch in "+-*^()/":
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in VAR_LETTERS:
-            j = i + 1
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("name", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0  # columns count code points from the last newline
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        else:
+            tokens.append(_Token(text if kind == "op" else kind, text, line, col))
+    tokens.append(_Token("end", "", line, len(src) - line_start + 1))
     return tokens
 
 

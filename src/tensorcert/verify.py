@@ -270,10 +270,7 @@ def structural_claims(basis: GroebnerBasis) -> tuple[bool, list[str]]:
     problems = []
     for g in basis.elements:
         used = indices_of(g)
-        if len(used) > 3:
-            problems.append(render_polynomial(g, basis.order))
-            continue
-        if indices_of(_lead(g, basis.order)) != used:
+        if len(used) > 3 or indices_of(_lead(g, basis.order)) != used:
             problems.append(render_polynomial(g, basis.order))
     return not problems, problems
 
@@ -455,14 +452,13 @@ def _monomial_witnesses(ring, left: MonomialIdeal, right: MonomialIdeal) -> list
 # -- oracle equivalence ------------------------------------------------------------
 
 
-def random_polynomial(rng: random.Random, ring, n: int, max_terms: int = 6) -> Polynomial:
-    """Random sparse polynomial with per-index multidegree at most 2.
+def random_polynomial(rng: random.Random, n: int, max_terms: int = 6) -> Polynomial:
+    """Random sparse polynomial over ``xyz_ring(n)`` with per-index
+    multidegree at most 2, of at most ``max_terms`` terms.
 
     Each term draws, index by index, the x exponent from {0, 1, 2}, then y
     and z from what is left, then its coefficient.
     """
-    if ring != xyz_ring(n):
-        raise ValueError(f"{ring!r} is not the xyz ring of {n} indices")
     randint = rng.randint
     # the x, y and z positions of each index, from the layout of ``xyz_ring``
     positions = [(i, n + i, 2 * n + i) for i in range(n)]
@@ -479,7 +475,7 @@ def random_polynomial(rng: random.Random, ring, n: int, max_terms: int = 6) -> P
         if coeff:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
-    return ring.from_terms({m: c for m, c in terms.items() if c})
+    return xyz_ring(n).from_terms({m: c for m, c in terms.items() if c})
 
 
 def oracle_equivalence_case(sig: Signature, budget_limit: int) -> CaseResult:
@@ -500,14 +496,14 @@ def oracle_equivalence_case(sig: Signature, budget_limit: int) -> CaseResult:
         pool: list[Polynomial] = list(cand.members)
         while len(pool) < ORACLE_SAMPLES + len(cand.members):
             if rng.random() < 0.5:
-                sample = random_polynomial(rng, ring, n)
+                sample = random_polynomial(rng, n)
             else:
                 # a random explicit combination of candidate generators; each
                 # generator is drawn before its factor
                 pairs = []
                 for _ in range(rng.randint(1, 3)):
                     gen = cand.members[rng.randrange(len(cand.members))]
-                    pairs.append((random_polynomial(rng, ring, n, max_terms=2), gen))
+                    pairs.append((random_polynomial(rng, n, max_terms=2), gen))
                 sample = dot(ring, pairs)
             pool.append(sample)
         agreements = 0

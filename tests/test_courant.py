@@ -232,12 +232,11 @@ class TestPolynomialAction:
 
         family = FLEET["generic-sym-pair-n2"]
         chart = family.chart
-        ring = xyz_ring(2)
         tau = courant_element(chart)
         rng = seeded("sigma-equivariance")
         for name, sigma in S3.items():
             for _ in range(3):
-                poly = random_polynomial(rng, ring, 2, max_terms=3)
+                poly = random_polynomial(rng, 2, max_terms=3)
                 a, b, c = (rnd_section(rng, chart) for _ in range(3))
                 lhs = permute_form(polynomial_action(poly, family, tau), sigma)(a, b, c)
                 rhs = polynomial_action(
@@ -248,7 +247,6 @@ class TestPolynomialAction:
     def test_family_reindexing(self):
         family = FLEET["diag-mixed-n2"]  # three members over the plane chart
         chart = family.chart
-        ring = xyz_ring(3)
         tau = courant_element(chart)
         rng = seeded("family-reindexing")
         rho = {1: 2, 2: 3, 3: 1}
@@ -258,7 +256,7 @@ class TestPolynomialAction:
             Signature(tuple(family.signature[rho_inv[i]] for i in (1, 2, 3))),
         )
         for _ in range(5):
-            poly = random_polynomial(rng, ring, 3, max_terms=3)
+            poly = random_polynomial(rng, 3, max_terms=3)
             a, b, c = (rnd_section(rng, chart) for _ in range(3))
             lhs = polynomial_action(poly, permuted, tau)(a, b, c)
             rhs = polynomial_action(relabel_indices(poly, rho_inv), family, tau)(a, b, c)
@@ -280,7 +278,7 @@ class TestPolynomialAction:
             for i in (1, 2)
         }
         for _ in range(5):
-            poly = random_polynomial(rng, ring, 2, max_terms=3)
+            poly = random_polynomial(rng, 2, max_terms=3)
             rescaled_poly = substitute(poly, sub, ring=ring)
             a, b, c = (rnd_section(rng, chart) for _ in range(3))
             assert polynomial_action(poly, scaled, tau)(a, b, c) == polynomial_action(
@@ -300,7 +298,7 @@ class TestPolynomialAction:
             family.members + other.members,
             Signature(family.signature.entries + other.signature.entries),
         )
-        ring2, ring4 = xyz_ring(2), xyz_ring(4)
+        ring4 = xyz_ring(4)
         sub = {
             f"{w}{i}": ring4.var(f"{w}{i}") + ring4.var(f"{w}{i + 2}")
             for w in "xyz"
@@ -309,7 +307,7 @@ class TestPolynomialAction:
         tau = courant_element(chart)
         rng = seeded("family-sum")
         for _ in range(4):
-            poly = random_polynomial(rng, ring2, 2, max_terms=2)
+            poly = random_polynomial(rng, 2, max_terms=2)
             expanded = substitute(poly, sub, ring=ring4)
             a, b, c = (rnd_section(rng, chart) for _ in range(3))
             assert polynomial_action(poly, summed, tau)(a, b, c) == polynomial_action(
@@ -383,7 +381,7 @@ class TestTensoriality:
             ring = xyz_ring(sig.n)
             members = candidate_basis(sig, ring).members
             variables = [ring.var(v) for v in ring.variables]
-            polys = [random_polynomial(rng, ring, sig.n, max_terms=4) for _ in range(20)]
+            polys = [random_polynomial(rng, sig.n, max_terms=4) for _ in range(20)]
             for _ in range(20):
                 combination = ring.zero
                 for _ in range(2):
@@ -506,7 +504,7 @@ class TestTensorialityAgainstBracketTables:
             ring = xyz_ring(family.n)
             members = candidate_basis(family.signature, ring).members
             for _ in range(3):
-                poly = random_polynomial(rng, ring, family.n, max_terms=3)
+                poly = random_polynomial(rng, family.n, max_terms=3)
                 verdicts.add(assert_same_verdict(poly, family))
                 # a multiple of a candidate member lies in the ideal
                 multiple = poly * members[rng.randrange(len(members))]

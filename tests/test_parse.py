@@ -31,6 +31,8 @@ class TestParse:
 
     def test_whitespace_insensitive(self):
         assert parse_polynomial(" x1\n+  y1 ", R1) == parse_polynomial("x1+y1", R1)
+        # a non-breaking space and an ideographic space
+        assert parse_polynomial("x1\u00a0+\u3000y1", R1) == parse_polynomial("x1+y1", R1)
 
     def test_rational_coefficients(self):
         f = parse_polynomial("3/2*x1 - 1/3", R1)
@@ -80,6 +82,13 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError, match="empty"):
             parse_polynomial("   ", R1)
+
+    @pytest.mark.parametrize("src, col", [("x1²", 3), ("²*x1", 1)])
+    def test_non_ascii_digit_is_an_unexpected_character(self, src, col):
+        # str.isdigit accepts the superscript two, but int() does not
+        with pytest.raises(ParseError, match="^unexpected character '²'") as err:
+            parse_polynomial(src, R1)
+        assert (err.value.line, err.value.col) == (1, col)
 
 
 class TestRender:

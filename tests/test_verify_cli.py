@@ -696,6 +696,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {ideal}: expected a factor (line 5, column 6)\n"
 
+    @pytest.mark.parametrize("line, col", [("x1² - y1", 3), ("²*x1", 1)])
+    def test_gb_non_ascii_digit_is_a_usage_error(self, line, col, tmp_path, capsys):
+        ideal = tmp_path / "bad.txt"
+        ideal.write_text(line + "\n", encoding="utf-8")
+        assert main(["gb", "--ideal", str(ideal)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {ideal}: unexpected character '²' (line 1, column {col})\n"
+
     @pytest.mark.parametrize(
         "argv, lines_read",
         [
