@@ -11,8 +11,8 @@ already in the ring skips that check through one private constructor each
 
 The fleet's endomorphisms are block and diagonal matrices, mostly zeros, so
 an endomorphism is only each row's nonzero (column, entry) pairs, columns
-ascending, a canonical form that equality and hashing read; every matrix
-operation forms only products of nonzero entries and keeps what is nonzero.
+ascending, a canonical form that equality reads; every matrix operation
+forms only products of nonzero entries and keeps what is nonzero.
 """
 
 from __future__ import annotations
@@ -152,17 +152,6 @@ class Endomorphism:
         return endo
 
     @classmethod
-    def from_blocks(cls, chart: Chart, a, b, c, d) -> "Endomorphism":
-        """Blocks act as [[A, B], [C, D]] on (vector; form)."""
-        n = chart.dim
-        rows = []
-        for i in range(n):
-            rows.append(tuple(a[i]) + tuple(b[i]))
-        for i in range(n):
-            rows.append(tuple(c[i]) + tuple(d[i]))
-        return cls(chart, rows)
-
-    @classmethod
     def identity(cls, chart: Chart) -> "Endomorphism":
         one = chart.ring.one
         return cls._unchecked(chart, tuple(((i, one),) for i in range(2 * chart.dim)))
@@ -173,9 +162,6 @@ class Endomorphism:
             and self.chart == other.chart
             and self.nonzero == other.nonzero
         )
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.nonzero))
 
     def apply(self, section: GeneralizedSection) -> GeneralizedSection:
         _check_chart(self, section)
@@ -220,9 +206,6 @@ class Endomorphism:
         return Endomorphism._unchecked(
             self.chart, tuple(tuple((c, e) for c, e in row if e) for row in scaled)
         )
-
-    def __neg__(self) -> "Endomorphism":
-        return self.scale(-1)
 
     def adjoint(self) -> "Endomorphism":
         """The adjoint for the tautological pairing: block-swap transpose."""

@@ -74,7 +74,8 @@ def build_parser() -> _Parser:
         "--sig",
         action="append",
         default=None,
-        help="explicit signature like '+-+'; repeatable (default: sweep all)",
+        help="select a signature like '+-+' (or --sig=-+) in every suite; repeatable "
+        "(default: all of length 1..N)",
     )
     certify.add_argument("--budget", type=int, default=None, help="step budget per case")
     certify.add_argument("--workers", type=int, default=1)
@@ -143,37 +144,36 @@ def _parse_signature(text: str) -> Signature:
         raise UsageError(f"--sig: {exc}") from None
 
 
-def _sweep(n_max: int, explicit: list[Signature] | None) -> list[Signature]:
-    if explicit is not None:
-        return explicit
-    out = []
-    for n in range(1, n_max + 1):
-        out.extend(Signature.sweep(n))
-    return out
-
-
 def _case_calls(suite: str, n_max: int, sigs: list[Signature] | None, budget: int):
     """Picklable zero-argument case calls; their order defines stable case ids.
 
-    The case functions are read from this module's namespace each time the
-    calls are built, so a rebinding (a tracer, a test) reaches them.  A
-    tensoriality call carries its fleet family, so workers never rebuild the
-    fleet; the unit case runs on the one-member skew family.
+    Every suite selects from one signature list (``sigs``, else all of length
+    1..n_max): squeeze runs at the N of each selected all-plus signature, and
+    tensoriality on the fleet families of a selected signature plus, when
+    ``-`` is selected, the unit case on the one-member skew family.  The case
+    functions are read from this module's namespace each time the calls are
+    built, so a rebinding (a tracer, a test) reaches them; a tensoriality
+    call carries its fleet family, so workers never rebuild the fleet.
     """
+    if sigs is None:
+        sigs = [sig for n in range(1, n_max + 1) for sig in Signature.sweep(n)]
     calls = []
     if suite in ("gen-set", "all"):
-        calls += [partial(gen_set_case, sig, budget) for sig in _sweep(n_max, sigs)]
+        calls += [partial(gen_set_case, sig, budget) for sig in sigs]
     if suite in ("knutson", "all"):
-        calls += [partial(knutson_case, sig, budget) for sig in _sweep(n_max, sigs)]
+        calls += [partial(knutson_case, sig, budget) for sig in sigs]
     if suite in ("squeeze", "all"):
-        calls += [partial(squeeze_case, n, budget) for n in range(1, n_max + 1)]
+        calls += [partial(squeeze_case, sig.n, budget) for sig in sigs if -1 not in sig]
     if suite in ("oracle-equiv", "all"):
-        calls += [partial(oracle_equivalence_case, sig, budget) for sig in _sweep(n_max, sigs)]
+        calls += [partial(oracle_equivalence_case, sig, budget) for sig in sigs]
     if suite in ("tensoriality", "all"):
         fleet = build_fleet()
-        calls += [partial(tensoriality_case, e) for e in fleet if e.family.signature.n <= n_max]
+        calls += [partial(tensoriality_case, e) for e in fleet if e.family.signature in sigs]
         unit = next(entry for entry in fleet if entry.name == "diag-skew-n1")
-        calls.append(partial(unit_not_tensorial_case, unit))
+        if unit.family.signature in sigs:
+            calls.append(partial(unit_not_tensorial_case, unit))
+    if not calls:
+        raise UsageError("no case matches --sig")
     return calls
 
 
@@ -204,21 +204,14 @@ def run_suite(
                 cases.append(lost_case(call, exc))
     else:
         cases = [call() for call in calls]
-    order_note = (
-        "elimination lex t > x_N > y_N > z_N > ... > x_1 > y_1 > z_1; "
-        "squeeze suite uses lex x_1 > ... > x_N > y_1 > ... > z_N; "
-        "knutson pairs use the rotated index-descending lex orders"
-    )
-    report = CertReport(
+    return CertReport(
         suite=suite,
         n_max=n_max,
         signatures="all" if signatures is None else ",".join(str(s) for s in signatures),
-        order_description=order_note,
         step_budget=step_budget,
         workers=workers,
         cases=cases,
     )
-    return report
 
 
 def _cmd_certify(args) -> int:

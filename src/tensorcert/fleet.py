@@ -26,7 +26,8 @@ class FleetFamily:
 def _blocks(chart: Chart, a=None, b=None, c=None, d=None) -> Endomorphism:
     """[[A, B], [C, D]] on (vector; form), an omitted block being zero."""
     z = [[chart.ring.zero] * chart.dim] * chart.dim
-    return Endomorphism.from_blocks(chart, a or z, b or z, c or z, d or z)
+    a, b, c, d = (block or z for block in (a, b, c, d))
+    return Endomorphism(chart, [[*left, *right] for left, right in [*zip(a, b), *zip(c, d)]])
 
 
 def _diagonal(chart: Chart, entries) -> list[list[Polynomial]]:
@@ -41,16 +42,6 @@ def _diag_vv(chart: Chart, diag, sym: bool) -> Endomorphism:
     """[[D, 0], [0, +-D]] for diagonal D: symmetric with +, skew with -."""
     lower = diag if sym else [-e for e in diag]
     return _blocks(chart, a=_diagonal(chart, diag), d=_diagonal(chart, lower))
-
-
-def _form_valued(chart: Chart, c_matrix) -> Endomorphism:
-    """[[0, 0], [C, 0]]: symmetric iff C is, skew iff C is."""
-    return _blocks(chart, c=c_matrix)
-
-
-def _vector_valued(chart: Chart, b_matrix) -> Endomorphism:
-    """[[0, B], [0, 0]]: symmetric iff B is, skew iff B is."""
-    return _blocks(chart, b=b_matrix)
 
 
 def _metric(chart: Chart, diag) -> Endomorphism:
@@ -90,11 +81,11 @@ def build_fleet() -> list[FleetFamily]:
     d_skew = _diag_vv(c1, [1], sym=False)
     add("diag-skew-n1", [d_skew], "-")
     add("diag-mixed-n1", [_diag_vv(c1, [2], sym=True), d_skew], "+-")
-    add("form-valued-linear-n1", [_form_valued(c1, [[u1]]), _form_valued(c1, [[c1.ring.const(3)]])], "++")
-    add("vector-valued-n1", [_vector_valued(c1, [[c1.ring.one]]), _vector_valued(c1, [[u1]])], "++")
+    add("form-valued-linear-n1", [_blocks(c1, c=[[u1]]), _blocks(c1, c=[[c1.ring.const(3)]])], "++")
+    add("vector-valued-n1", [_blocks(c1, b=[[c1.ring.one]]), _blocks(c1, b=[[u1]])], "++")
     add(
         "form-valued-quadratic-n1",
-        [_form_valued(c1, [[u1 * u1]]), _diag_vv(c1, [5], sym=True)],
+        [_blocks(c1, c=[[u1 * u1]]), _diag_vv(c1, [5], sym=True)],
         "++",
     )
 
@@ -110,11 +101,11 @@ def build_fleet() -> list[FleetFamily]:
     skew_c = [[c2.ring.zero, u1_2], [-u1_2, c2.ring.zero]]
     add(
         "form-valued-skew-n2",
-        [_form_valued(c2, [[c2.ring.zero, c2.ring.one], [-c2.ring.one, c2.ring.zero]]), _form_valued(c2, skew_c)],
+        [_blocks(c2, c=[[c2.ring.zero, c2.ring.one], [-c2.ring.one, c2.ring.zero]]), _blocks(c2, c=skew_c)],
         "--",
     )
     sym_c = [[u1_2, c2.coordinate(2)], [c2.coordinate(2), c2.ring.zero]]
-    add("form-valued-sym-n2", [_form_valued(c2, sym_c), Endomorphism.identity(c2).scale(4)], "++")
+    add("form-valued-sym-n2", [_blocks(c2, c=sym_c), Endomorphism.identity(c2).scale(4)], "++")
     add("diag-vv-sym-n2", [_diag_vv(c2, [1, 2], sym=True), _diag_vv(c2, [3, 5], sym=True)], "++")
     add("diag-vv-skew-n2", [_diag_vv(c2, [1, -1], sym=False), _diag_vv(c2, [2, 3], sym=False)], "--")
     add(

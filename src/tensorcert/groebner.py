@@ -19,9 +19,9 @@ variables, so elimination lives with the intersections in ``ideals``.
 
 Internally monomials are re-aligned to the active order and bit-packed into
 integers, so comparison, multiplication and divisibility are single integer
-operations.  One ``_Packing`` per (order, ring) holds that format; every
-operation packs its inputs through it and unpacks its results through it, so
-the public API stays in ring coordinates.
+operations.  ``_Packing`` is the only code that knows that format; each
+operation builds one for its (order, ring), packs its inputs through it and
+unpacks its results through it, so the public API stays in ring coordinates.
 """
 
 from __future__ import annotations

@@ -207,12 +207,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __radd__(self, other) -> Polynomial:
-        return self + other
-
-    def __rsub__(self, other) -> Polynomial:
-        return (-self) + other
-
     def _coerce(self, other) -> Polynomial:
         if isinstance(other, Polynomial):
             return other

@@ -15,13 +15,18 @@ EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as shells report a reader that went away
 
+ORDER_NOTE = (
+    "elimination lex t > x_N > y_N > z_N > ... > x_1 > y_1 > z_1; "
+    "squeeze suite uses lex x_1 > ... > x_N > y_1 > ... > z_N; "
+    "knutson pairs use the rotated index-descending lex orders"
+)
+
 
 @dataclass
 class CertReport:
     suite: str
     n_max: int
     signatures: str
-    order_description: str
     step_budget: int
     workers: int
     cases: list[CaseResult] = field(default_factory=list)
@@ -53,7 +58,7 @@ class CertReport:
             "suite": self.suite,
             "n_max": self.n_max,
             "signatures": self.signatures,
-            "order": self.order_description,
+            "order": ORDER_NOTE,
             "step_budget": self.step_budget,
             "workers": self.workers,
             "summary": self.summary(),
@@ -73,7 +78,7 @@ def _text_report(report: CertReport) -> str:
     lines = [
         f"tensorcert {__version__} -- suite {report.suite} "
         f"(N <= {report.n_max}, signatures {report.signatures})",
-        f"order: {report.order_description}",
+        f"order: {ORDER_NOTE}",
         f"step budget: {report.step_budget}",
         "",
     ]

@@ -41,7 +41,7 @@ from tensorcert.courant import (
     tensoriality_check,
     torsion_T_terms,
 )
-from tensorcert.fleet import build_fleet
+from tensorcert.fleet import _blocks, build_fleet
 from tensorcert.ideals import (
     candidate_basis,
     generator_P,
@@ -518,12 +518,11 @@ class TestTensorialityAgainstBracketTables:
         chart = Chart(2)
         ring = chart.ring
         z, uu = ring.zero, chart.coordinate(1) * chart.coordinate(2)
-        phi = Endomorphism.from_blocks(
+        phi = _blocks(
             chart,
-            [[z, ring.const(-2)], [z, z]],
-            [[z, uu], [-uu, z]],
-            [[z, z], [z, z]],
-            [[z, z], [ring.const(2), z]],
+            a=[[z, ring.const(-2)], [z, z]],
+            b=[[z, uu], [-uu, z]],
+            d=[[z, z], [ring.const(2), z]],
         )
         family = CommutingFamily((phi, phi.compose(phi)), Signature((-1, 1)))
         assert not assert_same_verdict(parse_polynomial("x2*y1*z1", xyz_ring(2)), family)

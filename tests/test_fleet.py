@@ -41,21 +41,14 @@ def _explicit_diag_vv(chart, diag, sym):
     return Endomorphism(chart, rows)
 
 
-def _explicit_form_valued(chart, c_matrix):
+def _explicit_blocks(chart, a=None, b=None, c=None, d=None):
     n = chart.dim
     rows = [[chart.ring.zero] * 2 * n for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[n + i][j] = c_matrix[i][j]
-    return Endomorphism(chart, rows)
-
-
-def _explicit_vector_valued(chart, b_matrix):
-    n = chart.dim
-    rows = [[chart.ring.zero] * 2 * n for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][n + j] = b_matrix[i][j]
+    for top, left, block in ((0, 0, a), (0, n, b), (n, 0, c), (n, n, d)):
+        if block:
+            for i in range(n):
+                for j in range(n):
+                    rows[top + i][left + j] = block[i][j]
     return Endomorphism(chart, rows)
 
 
@@ -70,15 +63,14 @@ def _explicit_metric(chart, diag):
 
 def _explicit_kahler_structures(chart):
     o, z = chart.ring.one, chart.ring.zero
-    j0 = [[z, -o], [o, z]]
-    jc = Endomorphism.from_blocks(chart, j0, [[z, z], [z, z]], [[z, z], [z, z]], j0)
-    jw = Endomorphism.from_blocks(chart, [[z, z], [z, z]], j0, j0, [[z, z], [z, z]])
+    jc = Endomorphism(chart, [[z, -o, z, z], [o, z, z, z], [z, z, z, -o], [z, z, o, z]])
+    jw = Endomorphism(chart, [[z, z, z, -o], [z, z, o, z], [z, -o, z, z], [o, z, z, z]])
     return jc, jw, jc.compose(jw)
 
 
 def test_block_builders_match_explicit_layout(monkeypatch):
     built = build_fleet()
-    for name in ("_diag_vv", "_form_valued", "_vector_valued", "_metric", "_kahler_structures"):
+    for name in ("_blocks", "_diag_vv", "_metric", "_kahler_structures"):
         monkeypatch.setattr(fleet, name, globals()[f"_explicit{name}"])
     explicit = build_fleet()
     assert len(built) == len(explicit) == 27

@@ -330,6 +330,61 @@ class TestOrbitMemo:
         assert (steps, members) == (59_039, 3_936)
 
 
+class TestSelection:
+    """``--sig`` selects the cases of every suite, and a case's record does
+    not depend on which other cases run beside it."""
+
+    DATA = pathlib.Path(__file__).parent / "data"
+
+    def golden_cases(self, name):
+        return json.loads((self.DATA / name).read_text(encoding="utf-8"))["cases"]
+
+    def test_squeeze_runs_at_each_selected_all_plus_signature(self):
+        report = run_suite("squeeze", 3, [Signature((1, 1))])
+        assert [case.case_id for case in report.cases] == ["squeeze/N2"]
+
+    def test_tensoriality_runs_on_the_selected_families_and_the_unit_case(self):
+        report = run_suite("tensoriality", 1, [Signature((-1,))])
+        minus = [e.name for e in build_fleet() if str(e.family.signature) == "-"]
+        assert len(minus) == 5
+        assert sorted(case.case_id for case in report.cases) == sorted(
+            [f"tensoriality/{name}" for name in minus] + ["tensoriality/unit-fails"]
+        )
+        assert {case.signature for case in report.cases} == {"-"}
+
+    def test_a_selection_without_cases_is_a_usage_error(self, capsys):
+        argv = ["certify", "--suite", "squeeze", "--n", "2", "--sig", "+-"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: no case matches --sig\n"
+        assert captured.out == ""
+
+    def test_selected_records_equal_their_full_sweep_records(self):
+        report = run_suite("all", 2, [Signature((1, -1))])
+        golden = self.golden_cases("report-all-n2.json")
+        assert report.signatures == "+-"
+        assert sorted(case.case_id for case in report.cases) == [
+            case["case_id"] for case in golden if case["signature"] == "+-"
+        ]
+        for case in report.cases:
+            case.wall_time_ms = 0
+            assert case.to_dict() in golden, case.case_id
+
+    def test_goldens_agree_record_by_record(self):
+        # a record depends neither on N_max, nor on the suite mix, nor on
+        # --sig, nor on --workers: the N = 4 golden is a two-worker run
+        for n in (1, 2, 3):
+            larger = self.golden_cases(f"report-all-n{n + 1}.json")
+            for case in self.golden_cases(f"report-all-n{n}.json"):
+                assert case in larger, (n, case["case_id"])
+        all_n2 = self.golden_cases("report-all-n2.json")
+        for case in self.golden_cases("report-all-n2-sig.json"):
+            assert case in all_n2, case["case_id"]
+        all_n3 = self.golden_cases("report-all-n3.json")
+        tensoriality = [case for case in all_n3 if case["suite"] == "tensoriality"]
+        assert self.golden_cases("report-tensoriality-n3.json") == tensoriality
+
+
 class TestReport:
     def build(self):
         return run_suite("knutson", 1)
@@ -346,7 +401,6 @@ class TestReport:
             suite="gen-set",
             n_max=1,
             signatures="all",
-            order_description="none",
             step_budget=BUDGET,
             workers=1,
         )
@@ -400,7 +454,6 @@ class TestReport:
             suite="gen-set",
             n_max=1,
             signatures="all",
-            order_description="demo",
             step_budget=BUDGET,
             workers=1,
             cases=[case],
