@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
         "--sig",
         action="append",
         default=None,
-        help="select a signature like '+-+' (or --sig=-+) in every suite; repeatable "
+        help="select a signature like '+-+' in every suite; repeatable "
         "(default: all of length 1..N)",
     )
     certify.add_argument("--budget", type=int, default=None, help="step budget per case")
@@ -343,6 +343,12 @@ def _cmd_intersect(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a --sig value like -+ as a flag, so join it to its --sig;
+    # '--' stays apart, since argparse strips it even from --sig=--
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--sig" and argv[k] != "--" and not argv[k].strip("+-"):
+            argv[k - 1 : k + 1] = [f"--sig={argv[k]}"]
     try:
         args = parser.parse_args(argv)
         run = {"certify": _cmd_certify, "gens": _cmd_gens, "gb": _cmd_gb, "intersect": _cmd_intersect}

@@ -9,10 +9,9 @@ has two oracles besides Groebner membership: a linear system on the
 coefficient tensor, and vanishing on the three linear subvarieties, each
 reached by a signed renaming of one letter.  Both read the exponent split
 x^I y^J z^K once, and take every sign eps^E from the parity of E's skew
-exponents, which one ``operator.itemgetter`` from ``_skew_exponents`` picks
-out of E (a single skew index as a one-element slice, so the sum is always
-over a tuple): the variety oracle maps each term to its signed image in one
-dict pass per subvariety, with no intermediate polynomial.  The two are not
+exponents, which the signature's own getter ``Signature.skew`` picks out of
+E: the variety oracle maps each term to its signed image in one dict pass
+per subvariety, with no intermediate polynomial.  The two are not
 independent of each other: each sums the same signed coefficients into the
 same (key, sign) buckets, so they agree by construction.  Groebner
 membership checks them independently, and so do the tests' references
@@ -30,8 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, itemgetter
-from typing import Callable
+from operator import add
 
 from .groebner import (
     GroebnerBasis,
@@ -40,20 +38,15 @@ from .groebner import (
     groebner_basis,
     membership,
 )
-from .poly import Coefficient, Exponents, MonomialOrder, Polynomial, PolyRing
-from .xyz import Signature, ring_size, split_terms, uses_t, xyz_ring
+from .poly import Coefficient, MonomialOrder, Polynomial, PolyRing
+from .xyz import SHIFT, Signature, ring_size, split_terms, uses_t, xyz_ring
 
 
 def axis_generator(letter: str, i: int, sig: Signature, ring: PolyRing) -> Polynomial:
-    """The index-i generator of I^letter; T, P and F are products of these."""
-    e = sig[i]
-    if letter == "x":
-        return ring.var(f"y{i}") - ring.monomial({f"z{i}": 1}, e)
-    if letter == "y":
-        return ring.var(f"z{i}") - ring.monomial({f"x{i}": 1}, e)
-    if letter == "z":
-        return ring.var(f"x{i}") - ring.monomial({f"y{i}": 1}, e)
-    raise ValueError(f"bad axis letter {letter!r}")
+    """The index-i generator v_i - eps_i w_i of I^letter, with v = SHIFT[letter]
+    and w = SHIFT[v]; T, P and F are products of these."""
+    v = SHIFT[letter]
+    return ring.var(f"{v}{i}") - ring.monomial({f"{SHIFT[v]}{i}": 1}, sig[i])
 
 
 def build_axis_ideals(sig: Signature, order: MonomialOrder) -> dict[str, IdealPresentation]:
@@ -129,20 +122,6 @@ def candidate_basis(sig: Signature, ring: PolyRing | None = None) -> CandidateBa
 # -- the two non-Groebner oracles ----------------------------------------------
 
 
-def _skew_exponents(f: Polynomial, sig: Signature) -> Callable[[Exponents], tuple[int, ...]]:
-    """One ``itemgetter`` taking an exponent vector E to its exponents at
-    sig's skew positions, always as a tuple: eps^E = -1 iff they have an odd
-    sum.  sig must match f's N."""
-    n = ring_size(f.ring)
-    if n != sig.n:
-        raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
-    skew = [i for i, e in enumerate(sig) if e == -1]
-    if len(skew) > 1:
-        return itemgetter(*skew)
-    # a single index would come back bare, so take it as a slice
-    return itemgetter(slice(skew[0], skew[0] + 1) if skew else slice(0))
-
-
 def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     """Check the three families of linear equations on the coefficient tensor
     a_{I,J,K} of x^I y^J z^K:
@@ -170,7 +149,10 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     family by family: a polynomial that fails here can still be tensorial on
     one family.
     """
-    skew = _skew_exponents(f, sig)
+    n = ring_size(f.ring)
+    if n != sig.n:
+        raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
+    skew = sig.skew
     buckets: dict[tuple, Coefficient] = {}
     get = buckets.get
     for I, J, K, a in split_terms(f):
@@ -193,7 +175,10 @@ def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
     parity of J's skew exponents, and each substitution is one pass that
     sums the signed coefficients by image monomial.
     """
-    skew = _skew_exponents(f, sig)
+    n = ring_size(f.ring)
+    if n != sig.n:
+        raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
+    skew = sig.skew
     terms = split_terms(f)
     # (substituted, untouched, receiving) positions in (I, J, K)
     for src, keep, dst in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):

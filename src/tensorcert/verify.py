@@ -71,6 +71,7 @@ from .parse import render_polynomial
 from .poly import MonomialOrder, Polynomial, dot, leading_term
 from .xyz import (
     LETTERS,
+    SHIFT,
     Signature,
     index_desc_order,
     indices_of,
@@ -235,8 +236,8 @@ def _orbit_basis(sig: Signature, budget: StepBudget) -> GroebnerBasis:
     products I^y I^z listed first, is computed once and memoised with the
     steps it cost, and a memo hit charges those steps to ``budget`` again.
 
-    The rename sends the representative's w_k to shift(w)_i, where i is the
-    k-th index of that sort and shift is the cyclic letter shift x -> y ->
+    The rename sends the representative's w_k to SHIFT[w]_i, where i is the
+    k-th index of that sort and ``SHIFT`` is the cyclic letter shift x -> y ->
     z -> x that ``pair_order`` also uses.  The shift maps I^x onto I^y, I^y
     onto I^z and I^z onto I^x, generator by generator, so it maps I_eps
     onto itself.  The result is the reduced basis of I_sig under the renamed
@@ -257,8 +258,7 @@ def _orbit_basis(sig: Signature, budget: StepBudget) -> GroebnerBasis:
     else:
         basis, steps = memo
         budget.charge(steps)
-    shift = dict(zip(LETTERS, LETTERS[1:] + LETTERS[:1]))
-    mapping = {f"{w}{k}": f"{shift[w]}{i}" for k, i in enumerate(perm, 1) for w in LETTERS}
+    mapping = {f"{w}{k}": f"{SHIFT[w]}{i}" for k, i in enumerate(perm, 1) for w in LETTERS}
     return GroebnerBasis(
         tuple(g.rename(mapping) for g in basis.elements),
         MonomialOrder(tuple(mapping[v] for v in basis.order.ranking)),

@@ -3,18 +3,22 @@
 Variables are named ``x1 .. xN, y1 .. yN, z1 .. zN`` plus the auxiliary
 ``t`` of the t-trick (see ``ideals``); ``t`` is an ordinary variable of the
 extended ring.  This module owns the ring layout, so the split of a monomial
-into its exponent vectors x^I y^J z^K lives here (``split_terms``).
+into its exponent vectors x^I y^J z^K lives here (``split_terms``), as do the
+letter shift ``SHIFT`` and the sign eps^E (``Signature.skew``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterator
 
 from .poly import Coefficient, Exponents, MonomialOrder, Polynomial, PolyRing
 
 LETTERS = ("x", "y", "z")
+# the cyclic letter shift x -> y -> z -> x: I^x -> I^y -> I^z -> I^x
+SHIFT = dict(zip(LETTERS, LETTERS[1:] + LETTERS[:1]))
 
 _ring_cache: dict[tuple[int, bool], PolyRing] = {}
 
@@ -78,7 +82,9 @@ def split_terms(f: Polynomial) -> list[tuple[Exponents, Exponents, Exponents, Co
 
 @dataclass(frozen=True)
 class Signature:
-    """Entry +1 marks a symmetric endomorphism, -1 a skew one."""
+    """Entry +1 marks a symmetric endomorphism, -1 a skew one.  ``skew`` takes
+    an exponent vector E to its exponents at the skew positions, always as a
+    tuple, so eps^E is the parity of their sum."""
 
     entries: tuple[int, ...]
 
@@ -87,6 +93,10 @@ class Signature:
             raise ValueError("signature must have length >= 1")
         if any(e not in (1, -1) for e in self.entries):
             raise ValueError("signature entries must be +1 or -1")
+        skew = [i for i, e in enumerate(self.entries) if e == -1]
+        # a lone index would come back bare, so it is taken as a slice
+        lone = slice(skew[0], skew[0] + 1) if skew else slice(0)
+        object.__setattr__(self, "skew", itemgetter(*skew) if len(skew) > 1 else itemgetter(lone))
 
     @property
     def n(self) -> int:
@@ -115,13 +125,9 @@ class Signature:
         """All signatures of length n, lexicographic with +1 before -1."""
         return [cls(s) for s in itertools.product((1, -1), repeat=n)]
 
-    def power(self, exponents: Iterable[int]) -> int:
-        """eps^J = prod eps_i^(J_i)."""
-        out = 1
-        for e, j in zip(self.entries, exponents):
-            if j % 2 and e == -1:
-                out = -out
-        return out
+    def power(self, exponents: Exponents) -> int:
+        """eps^J = prod eps_i^(J_i), the parity of J's skew exponents."""
+        return -1 if sum(self.skew(exponents)) & 1 else 1
 
 
 # -- the named monomial orders ------------------------------------------------
@@ -151,14 +157,12 @@ def pair_order(pair: tuple[str, str], n: int) -> MonomialOrder:
 
     The identity "product = intersection" for the (x,z) pair is proved under
     x_N > y_N > z_N > ...; the other two pairs follow by the cyclic shift
-    x -> y -> z -> x, which also rotates the order.
+    ``SHIFT``, which also rotates the order.  The rotation starts at the
+    pair's letter whose shift leaves the pair: xyz for {x, z}, yzx for
+    {x, y} and zxy for {y, z}.
     """
-    rotations = {
-        frozenset(("x", "z")): ("x", "y", "z"),
-        frozenset(("x", "y")): ("y", "z", "x"),
-        frozenset(("y", "z")): ("z", "x", "y"),
-    }
-    return index_desc_order(n, rotations[frozenset(pair)])
+    first = next(w for w in pair if SHIFT[w] not in pair)
+    return index_desc_order(n, (first, SHIFT[first], SHIFT[SHIFT[first]]))
 
 
 def order_from_spec(spec: str, n: int) -> MonomialOrder:

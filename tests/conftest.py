@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from tensorcert.poly import (
     Polynomial,
     PolyRing,
     leading_term,
+    mono_divides,
 )
 from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
 
@@ -145,6 +147,62 @@ def variety_by_substitution(f: Polynomial, sig: Signature) -> bool:
         if not substitute(f, sub, ring=ring).is_zero():
             return False
     return True
+
+
+# -- Hilbert numerators: an engine-free check of reduced Groebner bases ---------
+
+T_RING = PolyRing(["t"])
+
+
+def hilbert_numerator(gens) -> Polynomial:
+    """K(M) in Q[t] for the monomial ideal M of the exponent tuples ``gens``:
+    R/M has the Hilbert series K(M) / (1 - t)^n in n variables.
+
+    Bigatti's pivot on a variable v that two minimal generators share,
+    K(M) = K(M + <v>) + t K(M : v); once the minimal generators are pairwise
+    coprime, K(M) = prod (1 - t^deg m).
+    """
+    gens = set(gens)
+    minimal = sorted(m for m in gens if not any(d != m and mono_divides(d, m) for d in gens))
+    shared = Counter(v for m in minimal for v, e in enumerate(m) if e).most_common(1)
+    t = T_RING.var("t")
+    if not shared or shared[0][1] < 2:
+        return reduce(mul, (T_RING.one - t ** sum(m) for m in minimal), T_RING.one)
+    v = shared[0][0]
+    unit = tuple(int(k == v) for k in range(len(minimal[0])))
+    plus = [m for m in minimal if not m[v]] + [unit]
+    colon = [m[:v] + (max(m[v] - 1, 0),) + m[v + 1 :] for m in minimal]
+    return hilbert_numerator(plus) + t * hilbert_numerator(colon)
+
+
+def tensorial_hilbert_numerator(sig: Signature) -> Polynomial:
+    """The closed form 3(1-t)^N - 3(1-t)^(2N) + (1 - s t)(1-t)^(3N-s) of
+    K(in I_eps) = K(I_eps), with s the number of symmetric (+) entries.
+
+    I_eps = I^x cap I^y I^z, so K(I_eps) = K(I^x) + K(I^y I^z) - K(I^x + I^y I^z),
+    which are (1-t)^N, 2(1-t)^N - (1-t)^(2N) and 2(1-t)^(2N) - (1 - s t)(1-t)^(3N-s).
+    The last holds because, mod I^x, I^y I^z is a product of two linear
+    ideals whose linear forms meet in dimension s (one z_i - x_i per
+    symmetric index); see Conca & Herzog, Collect. Math. 54 (2003).
+    """
+    n, s = sig.n, sum(e == 1 for e in sig)
+    u = T_RING.one - T_RING.var("t")
+    return 3 * u**n - 3 * u ** (2 * n) + (T_RING.one - s * T_RING.var("t")) * u ** (3 * n - s)
+
+
+def is_reduced_basis(elements, order: MonomialOrder) -> bool:
+    """Every element is monic, and no lead monomial divides a term of
+    another element."""
+    leads = [leading_term(g, order) for g in elements]
+    if any(c != 1 for _, c in leads):
+        return False
+    return not any(
+        mono_divides(lead, m)
+        for k, g in enumerate(elements)
+        for m, _ in g.terms()
+        for j, (lead, _) in enumerate(leads)
+        if j != k
+    )
 
 
 def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:

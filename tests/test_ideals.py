@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     S3,
+    T_RING,
+    hilbert_numerator,
+    is_reduced_basis,
     monic,
     multidegree_components,
     polynomials,
@@ -19,6 +24,7 @@ from conftest import (
     permute_letters,
     seeded,
     substitute,
+    tensorial_hilbert_numerator,
     variety_by_substitution,
 )
 from tensorcert.groebner import (
@@ -44,7 +50,7 @@ from tensorcert.ideals import (
     vanishes_on_variety,
 )
 from tensorcert.parse import parse_polynomial, render_polynomial
-from tensorcert.poly import leading_term
+from tensorcert.poly import leading_term, mono_divides
 from tensorcert.verify import (
     _orbit_basis,
     j_ideal_presentation,
@@ -94,6 +100,8 @@ class TestAxisIdeals:
     def test_minus_signature(self):
         axes = build_axis_ideals(MINUS1, letter_block_order(1))
         assert axes["x"].generators == (p("y1 + z1"),)
+        assert axes["y"].generators == (p("z1 + x1"),)
+        assert axes["z"].generators == (p("x1 + y1"),)
 
     def test_mixed_componentwise(self):
         axes = build_axis_ideals(Signature((1, -1)), letter_block_order(2))
@@ -429,3 +437,76 @@ def test_oracles_refuse_a_signature_of_another_length(f, sig):
     for oracle in (is_universally_tensorial_linear, vanishes_on_variety):
         with pytest.raises(ValueError, match="indices but the signature has"):
             oracle(f, sig)
+
+
+# -- the committed gen-set bases, re-checked with no Groebner engine -------------
+
+
+@functools.cache
+def golden_gen_set_bases(name):
+    """{signature: intersection basis} of the gen-set cases of a committed report."""
+    report = json.loads((pathlib.Path(__file__).parent / "data" / name).read_text(encoding="utf-8"))
+    bases = {}
+    for case in report["cases"]:
+        if case["suite"] == "gen-set":
+            sig = Signature.parse(case["signature"])
+            texts = case["details"]["intersection_basis"]
+            bases[sig] = [parse_polynomial(text, xyz_ring(sig.n)) for text in texts]
+    return bases
+
+
+def initial_numerator(basis, sig):
+    order = index_desc_order(sig.n)
+    return hilbert_numerator(leading_term(g, order)[0] for g in basis)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_golden_gen_set_bases_are_the_reduced_bases(n):
+    """Each committed basis B of I_eps vanishes on the three components, so
+    B lies in I_eps (an intersection of primes), and <in B> lies in in(I_eps).
+    B is reduced under the index-descending order, and <in B> has the closed
+    form's Hilbert numerator, so <in B> = in(I_eps): B is the reduced
+    Groebner basis, with no Buchberger run to say so."""
+    bases = golden_gen_set_bases(f"report-all-n{n}.json")
+    assert sorted(str(sig) for sig in bases) == sorted(
+        str(sig) for k in range(1, n + 1) for sig in Signature.sweep(k)
+    )
+    for sig, basis in bases.items():
+        assert all(variety_by_substitution(g, sig) for g in basis), sig
+        assert is_reduced_basis(basis, index_desc_order(sig.n)), sig
+        assert initial_numerator(basis, sig) == tensorial_hilbert_numerator(sig), sig
+
+
+@pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3, ids=str)
+def test_dropping_any_golden_basis_element_breaks_the_numerator(sig):
+    basis = golden_gen_set_bases("report-all-n3.json")[sig]
+    closed = tensorial_hilbert_numerator(sig)
+    for k in range(len(basis)):
+        assert initial_numerator(basis[:k] + basis[k + 1 :], sig) != closed, (sig, k)
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+
+
+@given(ideal=monomial_ideals())
+@settings(max_examples=100, deadline=None)
+def test_hilbert_numerator_matches_standard_monomial_counts(ideal):
+    """K(M) = (1 - t)^n sum_d h(d) t^d, with h(d) the number of degree-d
+    monomials outside M; K has degree at most that of the lcm of all
+    generators, below top."""
+    n, gens = ideal
+    top = 3 * n + 1
+    t = T_RING.var("t")
+    series = T_RING.zero
+    for d in range(top + 1):
+        for vs in itertools.combinations_with_replacement(range(n), d):
+            m = tuple(vs.count(v) for v in range(n))
+            if not any(mono_divides(g, m) for g in gens):
+                series = series + t**d
+    expected = T_RING.from_terms(
+        {deg: c for deg, c in (series * (T_RING.one - t) ** n).terms() if deg[0] <= top}
+    )
+    assert hilbert_numerator(gens) == expected

@@ -709,6 +709,22 @@ class TestCli:
         out = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', capsys.readouterr().out)
         assert out == golden.read_text(encoding="utf-8")
 
+    def test_sig_value_after_a_space_matches_golden(self, capsys):
+        # argparse alone reads "-+" after --sig as a flag and exits 3
+        golden = pathlib.Path(__file__).parent / "data" / "report-all-n2-sig.json"
+        argv = ["certify", "--suite", "all", "--n", "2", "--sig", "++", "--sig", "-+"]
+        assert main(argv + ["--format", "json"]) == 0
+        out = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', capsys.readouterr().out)
+        assert out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("text", ["-+", "-"])
+    def test_gens_sig_value_after_a_space(self, capsys, text):
+        n = str(len(text))
+        assert main(["gens", "--n", n, f"--sig={text}"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["gens", "--n", n, "--sig", text]) == 0
+        assert capsys.readouterr().out == joined != ""
+
     @pytest.mark.parametrize(
         "args, golden",
         [

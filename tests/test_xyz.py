@@ -5,6 +5,10 @@ are test-side references (``conftest``).  Some tests here check those
 references; the others check the T generators against them.
 """
 
+import itertools
+import math
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +22,7 @@ from conftest import (
 from tensorcert.ideals import generator_T
 from tensorcert.parse import parse_polynomial
 from tensorcert.poly import PolyRing
-from tensorcert.xyz import Signature, split_terms, uses_t, xyz_ring
+from tensorcert.xyz import Signature, pair_order, split_terms, uses_t, xyz_ring
 
 R1 = xyz_ring(1)
 R2 = xyz_ring(2)
@@ -54,6 +58,31 @@ class TestSignature:
         sig = Signature.parse("+-")
         assert sig.power((0, 1)) == -1
         assert sig.power((2, 2)) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_power_is_the_product_definition(self, n):
+        for sig in Signature.sweep(n):
+            for exponents in itertools.product(range(3), repeat=n):
+                expected = math.prod(e**j for e, j in zip(sig, exponents))
+                assert sig.power(exponents) == expected, (str(sig), exponents)
+
+    @pytest.mark.parametrize("text", ["+", "-", "++", "+-", "--", "-+-"])
+    def test_pickle_keeps_a_working_power(self, text):
+        sig = Signature.parse(text)
+        back = pickle.loads(pickle.dumps(sig))
+        assert back == sig and hash(back) == hash(sig)
+        for exponents in itertools.product(range(3), repeat=sig.n):
+            assert back.power(exponents) == sig.power(exponents)
+
+
+class TestLetterShift:
+    @pytest.mark.parametrize(
+        "pair, letters", [(("x", "z"), "xyz"), (("x", "y"), "yzx"), (("y", "z"), "zxy")]
+    )
+    def test_pair_order_is_the_explicit_rotation(self, pair, letters):
+        ranking = tuple(f"{w}{i}" for i in (2, 1) for w in letters)
+        assert pair_order(pair, 2).ranking == ranking
+        assert pair_order(pair[::-1], 2).ranking == ranking
 
 
 class TestSplitTerms:
