@@ -124,7 +124,7 @@ def _parse_signatures(raw: list[str] | None, n_max: int) -> list[Signature] | No
         return None
     sigs = []
     for chunk in raw:
-        for text in chunk.split(","):
+        for text in _sig_text(chunk).split(","):
             if not text:
                 continue
             sig = _parse_signature(text)
@@ -135,6 +135,12 @@ def _parse_signatures(raw: list[str] | None, n_max: int) -> list[Signature] | No
     if not sigs:
         raise UsageError("no usable signature in --sig")
     return sigs
+
+
+def _sig_text(value: str | list) -> str:
+    """A --sig value as typed.  argparse drops the value '--' even from
+    --sig=--, and leaves an empty list in its place."""
+    return "--" if value == [] else value
 
 
 def _parse_signature(text: str) -> Signature:
@@ -257,7 +263,7 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def _cmd_gens(args) -> int:
-    sig = _parse_signature(args.sig)
+    sig = _parse_signature(_sig_text(args.sig))
     if sig.n != args.n:
         raise UsageError(f"--sig has length {sig.n}, expected --n {args.n}")
     ring = xyz_ring(sig.n)
@@ -344,10 +350,9 @@ def _cmd_intersect(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a --sig value like -+ as a flag, so join it to its --sig;
-    # '--' stays apart, since argparse strips it even from --sig=--
+    # argparse reads a --sig value like -+ or -- as a flag, so join it to its --sig
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] == "--sig" and argv[k] != "--" and not argv[k].strip("+-"):
+        if argv[k - 1] == "--sig" and not argv[k].strip("+-"):
             argv[k - 1 : k + 1] = [f"--sig={argv[k]}"]
     try:
         args = parser.parse_args(argv)

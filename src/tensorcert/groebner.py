@@ -2,19 +2,27 @@
 
 The pair schedule is part of the contract: pairs (i, j), i < j, are processed
 in lexicographic order of (j, i) over one working list, dividing against it
-in list order.  The list is monic throughout: it starts as the inputs made
-monic, each nonzero remainder is appended monic at the tail, and the whole
-list is what ``buchberger`` returns.  Pairs whose leading monomials are
-coprime are always skipped, because their S-polynomials reduce to zero
-(Buchberger's first criterion); ``buchberger_criterion`` stays the honest
-all-pairs check.
+in list order.  The list is primitive throughout: every element is integral,
+with content 1 and a positive leading coefficient.  It starts as the inputs
+cleared of denominators and made primitive, each nonzero remainder is made
+primitive and appended at the tail, and the whole list is what
+``buchberger`` returns.  A remainder known only up to a nonzero rational
+factor has the same support, so the schedule, every leading monomial and
+every step count are those of a monic list; only the arithmetic stays in
+integers.  Pairs whose leading monomials are coprime are always skipped,
+because their S-polynomials reduce to zero (Buchberger's first criterion);
+``buchberger_criterion`` stays the honest all-pairs check.
 Division has one kernel, which hands out the remainder's terms largest first;
 a term leaves the dividend only once no leading monomial divides it, and no
 later step reaches it again.  So ``membership`` decides at the first
-irreducible term and never builds the rest of the remainder.
+irreducible term and never builds the rest of the remainder.  Against an
+integral divisor the kernel pseudo-divides, scaling the dividend instead of
+dividing the divisor (Knuth, TAOCP Vol. 2, 4.6.1); against one that leads
+with 1 or -1, as every reduced basis does, a step is the plain step of long
+division.
 ``groebner_basis`` is the one entry point: Buchberger followed by reduction
-to the reduced basis, which is canonical for (ideal, order).  The engine
-works for any ring and any ranked lex order; it knows no auxiliary
+to the reduced basis, which is monic and canonical for (ideal, order).  The
+engine works for any ring and any ranked lex order; it knows no auxiliary
 variables, so elimination lives with the intersections in ``ideals``.
 
 Internally monomials are re-aligned to the active order and bit-packed into
@@ -29,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterator
 
 from .poly import (
@@ -214,10 +223,16 @@ def _remainder_terms(
     first divisor after each step.
 
     A term is yielded once no leading monomial divides it; every later step
-    only touches smaller monomials, so a yielded term is final.
+    only touches smaller monomials, so a yielded term is final.  A term c·m
+    is reduced by g with leading coefficient L = ±1 by the plain step, and
+    fraction-free when c and L are other integers: with d = gcd(c, L), what
+    is left of p is scaled by L/d and (c/d)·(m/lm g)·g is subtracted.  The
+    product of the scalings is kept, and each yielded term is divided by it,
+    so the yield is exactly the remainder of p.
     """
     p = dict(p_terms)
     get = p.get
+    scale = 1
     while p:
         m = max(p)
         c = p[m]
@@ -226,7 +241,21 @@ def _remainder_terms(
             if shift & guard:
                 continue
             budget.step()
-            factor = _exact_div(c, g.lc)
+            lc = g.lc
+            if lc == 1:
+                factor = c
+            elif lc == -1:
+                factor = -c
+            elif c.__class__ is int and lc.__class__ is int:
+                d = gcd(c, lc)
+                factor = c // d
+                if d != lc:
+                    lift = lc // d
+                    scale *= lift
+                    p = {k: v * lift for k, v in p.items()}
+                    get = p.get
+            else:
+                factor = _exact_div(c, lc)
             for gm, gc in g.terms.items():
                 key = shift + gm
                 s = get(key, 0) - factor * gc
@@ -236,7 +265,7 @@ def _remainder_terms(
                     del p[key]
             break
         else:
-            yield m, c
+            yield m, _exact_div(c, scale)
             del p[m]
 
 
@@ -257,13 +286,15 @@ def _s_poly_aligned(
 
 
 def _exact_div(c, lc):
-    """c / lc without ever touching floats; ints divide into Fractions."""
+    """c / lc without ever touching floats; two ints give an int when lc
+    divides c and a Fraction otherwise."""
     if lc == 1:
         return c
     if lc == -1:
         return -c
-    if isinstance(c, int) and isinstance(lc, int):
-        return Fraction(c, lc)
+    if c.__class__ is int and lc.__class__ is int:
+        q, r = divmod(c, lc)
+        return Fraction(c, lc) if r else q
     return c / lc
 
 
@@ -274,6 +305,21 @@ def _monic_aligned(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
     if lc == -1:
         return {m: -c for m, c in terms.items()}
     return {m: _exact_div(c, lc) for m, c in terms.items()}
+
+
+def _primitive_aligned(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
+    """The rational multiple of terms that is integral, has content 1 and a
+    positive leading coefficient."""
+    denominators = [c.denominator for c in terms.values() if c.__class__ is not int]
+    if denominators:
+        common = lcm(*denominators)
+        terms = {m: c.numerator * (common // c.denominator) for m, c in terms.items()}
+    content = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return {m: c // content for m, c in terms.items()}
 
 
 # -- public operations --------------------------------------------------------
@@ -301,14 +347,16 @@ def buchberger(
     """Plain Buchberger with the documented deterministic pair schedule.
 
     Coprime-lead pairs are skipped: their S-polynomials always reduce to zero.
-    Returns the whole working list, which is monic throughout: the inputs
-    made monic, then each nonzero remainder made monic.
+    Returns the whole working list, which is primitive throughout: the inputs
+    cleared of denominators and made primitive, then each nonzero remainder
+    made primitive.
     """
     packing = _Packing(presentation.order, presentation.ring)
     budget = step_budget or StepBudget()
-    # dividing by scaled copies changes quotients but never remainders, so the
-    # working list is monic to keep coefficient growth down
-    basis = [_Aligned(_monic_aligned(packing.align(g))) for g in presentation.generators]
+    # a rational multiple of an element has the same leading monomial and
+    # changes remainders only by a rational multiple, so the list keeps
+    # integral elements with content 1, and S-pairs and division stay in ints
+    basis = [_Aligned(_primitive_aligned(packing.align(g))) for g in presentation.generators]
     j = 1
     while j < len(basis):
         for i in range(j):
@@ -321,7 +369,7 @@ def buchberger(
                 continue
             r = dict(_remainder_terms(s, basis, budget, packing.guard))
             if r:
-                basis.append(_Aligned(_monic_aligned(r)))
+                basis.append(_Aligned(_primitive_aligned(r)))
         j += 1
     return GroebnerBasis(tuple(packing.unalign(g.terms) for g in basis), presentation.order)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tensorcert import groebner
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
 from tensorcert.courant import BracketTable, courant_bracket, tensor_P_terms, torsion_T_terms
-from tensorcert.groebner import GroebnerBasis, StepBudget
+from tensorcert.groebner import GroebnerBasis, IdealPresentation, StepBudget
 from tensorcert.poly import (
     Coefficient,
     Exponents,
@@ -23,6 +23,7 @@ from tensorcert.poly import (
     PolyRing,
     leading_term,
     mono_divides,
+    mono_lcm,
 )
 from tensorcert.xyz import LETTERS, Signature, ring_size, split_terms, xyz_ring
 
@@ -107,6 +108,57 @@ def normal_form(
         )
     )
     return packing.unalign(remainder)
+
+
+# -- the monic Buchberger: the engine's schedule over rational coefficients ------
+
+
+def monic_remainder(
+    f: Polynomial, divisors: list[Polynomial], order: MonomialOrder, budget: StepBudget
+) -> Polynomial:
+    """Long division of f by the divisors over Q, one step per cancelled
+    leading term, restarting from the first divisor after each step."""
+    ring = f.ring
+    leads = [leading_term(g, order) for g in divisors]
+    remainder = ring.zero
+    while not f.is_zero():
+        m, c = leading_term(f, order)
+        for g, (lm, lc) in zip(divisors, leads):
+            if mono_divides(lm, m):
+                budget.step()
+                shift = tuple(a - b for a, b in zip(m, lm))
+                f = f - g * ring.from_terms({shift: Fraction(c) / lc})
+                break
+        else:
+            term = ring.from_terms({m: c})
+            remainder, f = remainder + term, f - term
+    return remainder
+
+
+def monic_buchberger(
+    presentation: IdealPresentation, step_budget: StepBudget | None = None
+) -> list[Polynomial]:
+    """The engine's pair schedule on a monic working list: pairs (i, j), i < j,
+    in lexicographic order of (j, i), coprime leads skipped, each nonzero
+    remainder appended monic."""
+    order = presentation.order
+    budget = step_budget or StepBudget()
+    basis = [monic(g, order) for g in presentation.generators]
+    j = 1
+    while j < len(basis):
+        for i in range(j):
+            f, g = basis[i], basis[j]
+            lf, lg = leading_term(f, order)[0], leading_term(g, order)[0]
+            if not any(a and b for a, b in zip(lf, lg)):
+                continue
+            lcm = mono_lcm(lf, lg)
+            s = f * f.ring.from_terms({tuple(a - b for a, b in zip(lcm, lf)): 1})
+            s = s - g * g.ring.from_terms({tuple(a - b for a, b in zip(lcm, lg)): 1})
+            r = monic_remainder(s, basis, order, budget)
+            if not r.is_zero():
+                basis.append(monic(r, order))
+        j += 1
+    return basis
 
 
 # -- references for the three oracles of oracle-equiv --------------------------

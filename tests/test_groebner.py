@@ -5,12 +5,22 @@ three-variable example, and the principal-ideal lcm rule for intersections.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monic, nonzero_polynomials, normal_form, polynomials, seeded
+from conftest import (
+    monic,
+    monic_buchberger,
+    monic_remainder,
+    nonzero_polynomials,
+    normal_form,
+    polynomials,
+    seeded,
+)
 from tensorcert import groebner
 from tensorcert.groebner import (
     BudgetExceededError,
@@ -207,6 +217,92 @@ class TestBuchberger:
             groebner_basis(IdealPresentation(tuple(shuffled), LEX)).elements
             == groebner_basis(presentation).elements
         )
+
+
+def monic_reduced(elements, order):
+    """The reduced basis the engine's way, over Q: the monic elements by
+    increasing lead, those whose lead no kept lead divides, each divided by
+    the others in that order; with the division steps it took."""
+    budget = StepBudget()
+    positions = order.positions(R1)
+
+    def rank(g):
+        lead = leading_term(g, order)[0]
+        return tuple(lead[pos] for pos in positions)
+
+    kept = []
+    for g in sorted(elements, key=rank):
+        if not any(mono_divides(leading_term(h, order)[0], leading_term(g, order)[0]) for h in kept):
+            kept.append(g)
+    reduced = [monic_remainder(g, kept[:k] + kept[k + 1 :], order, budget) for k, g in enumerate(kept)]
+    return tuple(sorted(reduced, key=rank)), budget.used
+
+
+def assert_matches_monic_reference(presentation):
+    """The working list is the monic reference's, element by element, up to
+    a positive rational factor that makes each element primitive; the step
+    counts agree, and so do the reduced bases."""
+    order = presentation.order
+    ours, theirs = StepBudget(), StepBudget()
+    working = buchberger(presentation, ours).elements
+    reference = monic_buchberger(presentation, theirs)
+    assert [monic(g, order) for g in working] == reference
+    for g in working:
+        coefficients = [c for _, c in g.terms()]
+        assert all(type(c) is int for c in coefficients), g
+        assert math.gcd(*coefficients) == 1, g
+        assert leading_term(g, order)[1] > 0, g
+    assert ours.used == theirs.used
+    budget = StepBudget()
+    reduced, reduce_steps = monic_reduced(reference, order)
+    assert groebner_basis(presentation, budget).elements == reduced
+    assert budget.used == theirs.used + reduce_steps
+
+
+class TestFractionFree:
+    """Buchberger keeps a primitive integral working list and pseudo-divides;
+    it must take the monic reference's steps and give its bases."""
+
+    @given(
+        gens=st.lists(nonzero_polynomials(R1, max_terms=3), min_size=1, max_size=3),
+        ranking=st.permutations(("x1", "y1", "z1")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_steps_and_bases_as_the_monic_reference(self, gens, ranking):
+        assert_matches_monic_reference(IdealPresentation(tuple(gens), MonomialOrder(tuple(ranking))))
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda primitive, terms: terms,
+            lambda primitive, terms: {m: 2 * c for m, c in primitive(terms).items()},
+            lambda primitive, terms: {m: -c for m, c in primitive(terms).items()},
+        ],
+        ids=["not-made-primitive", "doubled", "negated"],
+    )
+    def test_a_wrongly_scaled_remainder_is_caught(self, monkeypatch, mutant):
+        # the inputs are primitive, and the one remainder, z1 - y1, leads
+        # with -1: only the remainder the mutant appends can go wrong
+        presentation = pres(["x1 - y1", "x1 - z1"])
+        assert_matches_monic_reference(presentation)
+        primitive = groebner._primitive_aligned
+        monkeypatch.setattr(groebner, "_primitive_aligned", lambda terms: mutant(primitive, terms))
+        with pytest.raises(AssertionError):
+            assert_matches_monic_reference(presentation)
+
+    def test_division_yields_the_exact_remainder_after_a_scaling(self):
+        # x1 is final before y1 = (1/2)(2*y1 - z1) + (1/2)z1 scales the rest
+        # by 2, in one step
+        basis = GroebnerBasis((p("2*y1 - z1"),), LEX)
+        assert normal_form(p("x1 + y1"), basis, StepBudget(1)) == p("x1 + 1/2*z1")
+
+
+class TestExactDiv:
+    def test_integral_quotients_are_ints(self):
+        assert type(groebner._exact_div(6, 3)) is int
+        assert groebner._exact_div(6, -3) == -2
+        assert groebner._exact_div(7, 2) == Fraction(7, 2)
+        assert groebner._exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
 
 
 class TestReduceBasis:

@@ -52,6 +52,7 @@ from tensorcert.ideals import (
 from tensorcert.parse import parse_polynomial, render_polynomial
 from tensorcert.poly import leading_term, mono_divides
 from tensorcert.verify import (
+    PAIRS,
     _orbit_basis,
     j_ideal_presentation,
     random_polynomial,
@@ -483,6 +484,50 @@ def test_dropping_any_golden_basis_element_breaks_the_numerator(sig):
     closed = tensorial_hilbert_numerator(sig)
     for k in range(len(basis)):
         assert initial_numerator(basis[:k] + basis[k + 1 :], sig) != closed, (sig, k)
+
+
+# -- Knutson's pairwise intersections, re-checked with no Groebner engine ----------
+
+# I^w is the ideal of the linear space src_i = eps_i dst_i, (src, dst) = AXIS_SPACES[w]
+AXIS_SPACES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
+
+
+def vanishes_on_axis_space(f, sig, axis):
+    src, dst = AXIS_SPACES[axis]
+    ring = f.ring
+    sub = {f"{src}{i}": ring.monomial({f"{dst}{i}": 1}, sig[i]) for i in range(1, sig.n + 1)}
+    return substitute(f, sub, ring=ring).is_zero()
+
+
+def pair_hilbert_numerator(n):
+    """K(I^a cap I^b) = K(I^a) + K(I^b) - K(I^a + I^b) = 2(1-t)^N - (1-t)^(2N):
+    each axis ideal is generated by N independent linear forms, and the two
+    sets together by 2N."""
+    u = T_RING.one - T_RING.var("t")
+    return 2 * u**n - u ** (2 * n)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3, ids=str)
+def test_knutson_intersections_are_the_reduced_bases(sig):
+    """The basis B that ``intersect_pair`` returns for I^a cap I^b vanishes
+    on both linear spaces, so it lies in the intersection (of two primes) and
+    <in B> lies in its initial ideal.  B is reduced, and <in B> has the
+    intersection's Hilbert numerator, so <in B> is that initial ideal: B is
+    the reduced Groebner basis, with no Buchberger run to say so.  Dropping
+    any one element breaks the numerator."""
+    closed = pair_hilbert_numerator(sig.n)
+    for pair in PAIRS:
+        order = pair_order(pair, sig.n)
+        axes = build_axis_ideals(sig, order)
+        for w in pair:
+            assert all(vanishes_on_axis_space(g, sig, w) for g in axes[w].generators)
+        basis = intersect_pair(*(axes[w] for w in pair)).elements
+        assert all(vanishes_on_axis_space(g, sig, w) for g in basis for w in pair), (sig, pair)
+        assert is_reduced_basis(basis, order), (sig, pair)
+        leads = [leading_term(g, order)[0] for g in basis]
+        assert hilbert_numerator(leads) == closed, (sig, pair)
+        for k in range(len(leads)):
+            assert hilbert_numerator(leads[:k] + leads[k + 1 :]) != closed, (sig, pair, k)
 
 
 @st.composite

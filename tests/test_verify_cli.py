@@ -1,5 +1,6 @@
 """Suite verifiers, report schema, CLI contract, and determinism."""
 
+import functools
 import json
 import os
 import pathlib
@@ -23,7 +24,8 @@ from tensorcert.verify import (
 )
 from tensorcert.fleet import build_fleet
 from tensorcert.ideals import candidate_basis
-from tensorcert.xyz import Signature
+from tensorcert.parse import render_polynomial
+from tensorcert.xyz import Signature, letter_block_order, xyz_ring
 
 BUDGET = DEFAULT_STEP_BUDGET
 
@@ -724,6 +726,21 @@ class TestCli:
         joined = capsys.readouterr().out
         assert main(["gens", "--n", n, "--sig", text]) == 0
         assert capsys.readouterr().out == joined != ""
+
+    @pytest.mark.parametrize("form", [["--sig=--"], ["--sig", "--"]], ids=["joined", "spaced"])
+    def test_sig_selects_the_signature_with_two_skew_entries(self, capsys, form):
+        # argparse drops a '--' value even from --sig=--, and reads a lone
+        # '--' as the end of the options
+        sig = Signature.parse("--")
+        zeroed = functools.partial(re.sub, r'"wall_time_ms": \d+', '"wall_time_ms": 0')
+        assert main(["certify", "--suite", "all", "--n", "2", *form, "--format", "json"]) == 0
+        expected = emit_report(run_suite("all", 2, [sig]), "json") + "\n"
+        assert zeroed(capsys.readouterr().out) == zeroed(expected)
+        assert '"signatures": "--"' in expected
+        assert main(["gens", "--n", "2", *form]) == 0
+        order = letter_block_order(2)
+        members = candidate_basis(sig, xyz_ring(2)).members
+        assert capsys.readouterr().out == "".join(f"{render_polynomial(g, order)}\n" for g in members)
 
     @pytest.mark.parametrize(
         "args, golden",
