@@ -194,31 +194,20 @@ def _seed(case_id: str) -> random.Random:
 # -- generating-set certification -----------------------------------------------------
 
 
-def _j_ideal_factors(sig: Signature) -> tuple[IdealPresentation, IdealPresentation]:
-    """I^x and the product I^y I^z, generators by increasing index."""
-    axes = build_axis_ideals(sig, index_desc_order(sig.n))
-    return axes["x"], product_ideal(axes["y"], axes["z"])
-
-
 def j_ideal_presentation(sig: Signature) -> IdealPresentation:
-    """tI^x + (1-t) I^y I^z with the prescribed generator ordering.
+    """tI^yI^z + (1-t)I^x, the t-trick presentation of I_eps.
 
-    The t(y_i - e_i z_i) come first by increasing i, then the products
-    (1-t)(z_i - e_i x_i)(x_j - e_j y_j) ordered by (i, j).
+    The products t(z_i - e_i x_i)(x_j - e_j y_j) come first, ordered by
+    (i, j), then the (1-t)(y_i - e_i z_i) by increasing i.
     """
-    return scale_into_t_ring(*_j_ideal_factors(sig))
+    axes = build_axis_ideals(sig, index_desc_order(sig.n))
+    return scale_into_t_ring(product_ideal(axes["y"], axes["z"]), axes["x"])
 
 
 def tensorial_ideal_basis(sig: Signature, budget: StepBudget | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the triple intersection, via the t-trick.
-
-    The products come first: t I^y I^z + (1-t) I^x.  Both factors carry
-    ``index_desc_order``, and reduced bases are unique for (ideal, order),
-    so this is the t-free part of ``j_ideal_presentation``'s reduced basis;
-    listing the products first takes about half the Buchberger steps.
-    """
-    i_x, products = _j_ideal_factors(sig)
-    return intersect_pair(products, i_x, budget)
+    """Reduced Groebner basis of the triple intersection: the t-free part of
+    ``j_ideal_presentation``'s reduced basis."""
+    return eliminate(groebner_basis(j_ideal_presentation(sig), budget))
 
 
 # orbit representative -> (its t-trick basis, the steps that basis cost)
@@ -232,9 +221,9 @@ def _orbit_basis(sig: Signature, budget: StepBudget) -> GroebnerBasis:
     I_eps is built index by index, so renumbering the indices by a
     permutation maps I_eps onto the ideal of the permuted signature.  The
     orbit's representative lists the symmetric indices first (a stable
-    sort); its reduced t-trick basis, from ``tensorial_ideal_basis`` with the
-    products I^y I^z listed first, is computed once and memoised with the
-    steps it cost, and a memo hit charges those steps to ``budget`` again.
+    sort); its reduced t-trick basis, from ``tensorial_ideal_basis``, is
+    computed once and memoised with the steps it cost, and a memo hit charges
+    those steps to ``budget`` again.
 
     The rename sends the representative's w_k to SHIFT[w]_i, where i is the
     k-th index of that sort and ``SHIFT`` is the cyclic letter shift x -> y ->

@@ -23,6 +23,7 @@ from conftest import (
 )
 from tensorcert import groebner
 from tensorcert.groebner import (
+    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     GroebnerBasis,
     IdealPresentation,
@@ -38,7 +39,8 @@ from tensorcert.groebner import (
 from tensorcert.ideals import eliminate, intersect_pair
 from tensorcert.parse import parse_polynomial
 from tensorcert.poly import MonomialOrder, leading_term, mono_divides
-from tensorcert.xyz import elimination_order, index_desc_order, xyz_ring
+from tensorcert.verify import gen_set_case
+from tensorcert.xyz import Signature, elimination_order, index_desc_order, xyz_ring
 
 R1 = xyz_ring(1)
 LEX = MonomialOrder(("x1", "y1", "z1"))
@@ -303,6 +305,25 @@ class TestExactDiv:
         assert groebner._exact_div(6, -3) == -2
         assert groebner._exact_div(7, 2) == Fraction(7, 2)
         assert groebner._exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
+
+    def test_gen_set_divisors_stay_two_bits_up_to_n3(self, monkeypatch):
+        # the divisors are the kernel's accumulated scale at each yielded term
+        # and the leads _monic_aligned divides by: a scale that grows inside
+        # the kernel shows here, though not in the primitive list buchberger
+        # returns, where the traced coeff_bits_max is read
+        divisors = []
+        exact_div = groebner._exact_div
+
+        def recorded(c, lc):
+            divisors.append(Fraction(lc))
+            return exact_div(c, lc)
+
+        monkeypatch.setattr(groebner, "_exact_div", recorded)
+        for n in (1, 2, 3):
+            for sig in Signature.sweep(n):
+                assert gen_set_case(sig, DEFAULT_STEP_BUDGET).status == "pass"
+        assert divisors
+        assert max(max(abs(q.numerator), q.denominator).bit_length() for q in divisors) <= 2
 
 
 class TestReduceBasis:

@@ -47,6 +47,7 @@ from tensorcert.ideals import (
     is_universally_tensorial_linear,
     knutson_F,
     product_ideal,
+    scale_into_t_ring,
     vanishes_on_variety,
 )
 from tensorcert.parse import parse_polynomial, render_polynomial
@@ -379,13 +380,31 @@ def test_random_polynomial_draws_are_pinned():
     assert rng.random() == 0.5106819263043376
 
 
+@functools.cache
+def j_steps(sig):
+    """(the I^x-first t-free basis, its steps, the steps of j_ideal_presentation)."""
+    axes = build_axis_ideals(sig, index_desc_order(sig.n))
+    x_first = scale_into_t_ring(axes["x"], product_ideal(axes["y"], axes["z"]))
+    x_budget, budget = StepBudget(), StepBudget()
+    x_basis = eliminate(groebner_basis(x_first, x_budget))
+    groebner_basis(j_ideal_presentation(sig), budget)
+    return x_basis, x_budget.used, budget.used
+
+
 @pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3 + [Signature.parse("++++")], ids=str)
-def test_products_first_basis_equals_the_j_presentations(sig):
-    # tensorial_ideal_basis lists I^y I^z first, gen-set's J lists I^x first;
-    # reduced bases are unique for (ideal, order), so the two must agree
-    j_basis = eliminate(groebner_basis(j_ideal_presentation(sig)))
-    assert basis_of(sig).order == j_basis.order
-    assert basis_of(sig).elements == j_basis.elements
+def test_products_first_basis_equals_the_x_first_one(sig):
+    # tI^x + (1-t)I^yI^z presents the same ideal's t-trick; reduced bases are
+    # unique for (ideal, order), so its t-free part must be the same basis
+    x_basis, x_steps, steps = j_steps(sig)
+    assert basis_of(sig).order == x_basis.order
+    assert basis_of(sig).elements == x_basis.elements
+    if sig.n >= 2:
+        assert steps < x_steps
+
+
+def test_products_first_halves_the_steps_up_to_n3():
+    totals = [sum(j_steps(sig)[k] for sig in SIGNATURES_UP_TO_3) for k in (1, 2)]
+    assert totals == [111_782, 55_280]
 
 
 @pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3, ids=str)

@@ -1,6 +1,6 @@
 """sympy as an independent oracle for the engine's reduced bases.
 
-The J ideal tI^x + (1-t)I^yI^z is rebuilt here from its definition with
+The J ideal tI^yI^z + (1-t)I^x is rebuilt here from its definition with
 sympy symbols, so the comparison also covers the generator construction.
 Reduced lex bases are unique, so both sides must agree term by term once
 made monic.
@@ -21,7 +21,7 @@ SIGNATURES = [str(s) for n in (1, 2, 3) for s in Signature.sweep(n)]
 
 def _monic(terms: dict) -> frozenset:
     lead = terms[max(terms)]
-    return frozenset((m, c / lead) for m, c in terms.items())
+    return frozenset((m, Fraction(c) / lead) for m, c in terms.items())
 
 
 def _sympy_basis(sig: Signature, ranking: tuple[str, ...]) -> set:
@@ -29,8 +29,8 @@ def _sympy_basis(sig: Signature, ranking: tuple[str, ...]) -> set:
     sym = {name: sympy.Symbol(name) for name in ranking}
     t = sym["t"]
     x, y, z = ({i: sym[f"{w}{i}"] for i in eps} for w in "xyz")
-    ideal = [t * (y[i] - eps[i] * z[i]) for i in eps]
-    ideal += [(1 - t) * (z[i] - eps[i] * x[i]) * (x[j] - eps[j] * y[j]) for i in eps for j in eps]
+    ideal = [t * (z[i] - eps[i] * x[i]) * (x[j] - eps[j] * y[j]) for i in eps for j in eps]
+    ideal += [(1 - t) * (y[i] - eps[i] * z[i]) for i in eps]
     basis = sympy.groebner(ideal, *(sym[name] for name in ranking), order="lex")
     return {
         _monic({m: Fraction(str(c)) for m, c in poly.terms()}) for poly in basis.polys

@@ -40,12 +40,12 @@ class TestVerifiers:
         ring = xyz_ring(2, with_t=True)
         pres = j_ideal_presentation(Signature((1, -1)))
         expected = [
-            "t*(y1 - z1)",
-            "t*(y2 + z2)",
-            "(1-t)*(z1 - x1)*(x1 - y1)",
-            "(1-t)*(z1 - x1)*(x2 + y2)",
-            "(1-t)*(z2 + x2)*(x1 - y1)",
-            "(1-t)*(z2 + x2)*(x2 + y2)",
+            "t*(z1 - x1)*(x1 - y1)",
+            "t*(z1 - x1)*(x2 + y2)",
+            "t*(z2 + x2)*(x1 - y1)",
+            "t*(z2 + x2)*(x2 + y2)",
+            "(1-t)*(y1 - z1)",
+            "(1-t)*(y2 + z2)",
         ]
         assert list(pres.generators) == [parse_polynomial(t, ring) for t in expected]
 
