@@ -1,17 +1,26 @@
 """Buchberger's algorithm, ordered division, reduced bases and monomial ideals.
 
-The pair schedule is part of the contract: pairs (i, j), i < j, are processed
-in lexicographic order of (j, i) over one working list, dividing against it
-in list order.  The list is primitive throughout: every element is integral,
-with content 1 and a positive leading coefficient.  It starts as the inputs
-cleared of denominators and made primitive, each nonzero remainder is made
-primitive and appended at the tail, and the whole list is what
-``buchberger`` returns.  A remainder known only up to a nonzero rational
-factor has the same support, so the schedule, every leading monomial and
-every step count are those of a monic list; only the arithmetic stays in
-integers.  Pairs whose leading monomials are coprime are always skipped,
-because their S-polynomials reduce to zero (Buchberger's first criterion);
+The pair schedule is part of the contract.  Elements join one working list,
+the inputs first and then each nonzero remainder at the tail, and each one
+goes through the Gebauer-Moeller UPDATE (Becker-Weispfenning, Groebner
+Bases, 5.5) as it joins.  The new element k is paired with every older
+element i whose lead no later lead divides, and keeps one pair (i, k) per
+lcm class, the one with the smallest i.  A class is dropped when its lcm is a proper
+multiple of another class's lcm (criterion M), or when it holds a pair with
+coprime leads (criterion F and Buchberger's first criterion).  A pending
+pair (i, j) is dropped (criterion B_k) when lm k divides its lcm and that
+lcm differs from both lcm(i, k) and lcm(j, k).  Pending pairs are taken
+smallest lcm first, ties by (i, j) (normal selection), and each
+S-polynomial is divided against the whole list in list order, elements
+whose leads a later lead divides included.
 ``buchberger_criterion`` stays the honest all-pairs check.
+The list is primitive throughout: every element is integral, with content 1
+and a positive leading coefficient.  The inputs are cleared of denominators
+and made primitive, each nonzero remainder is made primitive, and the whole
+list is what ``buchberger`` returns.  A remainder known only up to a nonzero
+rational factor has the same support, so the schedule, every leading
+monomial and every step count are those of a monic list; only the
+arithmetic stays in integers.
 Division has one kernel, which hands out the remainder's terms largest first;
 a term leaves the dividend only once no leading monomial divides it, and no
 later step reaches it again.  So ``membership`` decides at the first
@@ -37,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterator
 
@@ -196,9 +206,18 @@ class _Packing:
             out[tuple(exps)] = c
         return self.ring.from_terms(out)
 
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials: in each field the larger exponent."""
+        guard = self.guard
+        # a field's guard bit survives (a | guard) - b iff a's exponent there
+        # is at least b's; spread each surviving bit over its field's values
+        wider = ((a | guard) - b) & guard
+        mask = wider - (wider >> (_FIELD_BITS - 1))
+        return a & mask | b & ~mask
+
     def lcm_shifts(self, f: "_Aligned", g: "_Aligned") -> tuple[int, int]:
         """(lcm/lm_f, lcm/lm_g); the first equals lm_g iff the leads are coprime."""
-        lcm = self._pack(tuple(map(max, self._unpack(f.lm), self._unpack(g.lm))))
+        lcm = self.lcm(f.lm, g.lm)
         return lcm - f.lm, lcm - g.lm
 
 
@@ -344,33 +363,61 @@ def membership(f: Polynomial, basis: GroebnerBasis, step_budget: StepBudget | No
 def buchberger(
     presentation: IdealPresentation, step_budget: StepBudget | None = None
 ) -> GroebnerBasis:
-    """Plain Buchberger with the documented deterministic pair schedule.
+    """Buchberger with Gebauer-Moeller pair management and normal selection.
 
-    Coprime-lead pairs are skipped: their S-polynomials always reduce to zero.
-    Returns the whole working list, which is primitive throughout: the inputs
-    cleared of denominators and made primitive, then each nonzero remainder
-    made primitive.
+    The schedule is the module's: every element joins through UPDATE, and
+    the pending pair of smallest lcm is reduced next.  Returns the whole
+    working list, which is primitive throughout: the inputs cleared of
+    denominators and made primitive, then each nonzero remainder made
+    primitive.
     """
     packing = _Packing(presentation.order, presentation.ring)
     budget = step_budget or StepBudget()
+    guard = packing.guard
     # a rational multiple of an element has the same leading monomial and
     # changes remainders only by a rational multiple, so the list keeps
     # integral elements with content 1, and S-pairs and division stay in ints
-    basis = [_Aligned(_primitive_aligned(packing.align(g))) for g in presentation.generators]
-    j = 1
-    while j < len(basis):
-        for i in range(j):
-            gi, gj = basis[i], basis[j]
-            shift_i, shift_j = packing.lcm_shifts(gi, gj)
-            if shift_i == gj.lm:
+    basis: list[_Aligned] = []
+    active: list[int] = []  # the elements whose leads no later lead divides
+    pending: dict[tuple[int, int], int] = {}  # (i, j) -> lcm of their leads
+    heap: list[tuple[int, int, int]] = []  # (lcm, i, j); stale once not pending
+
+    def update(h: _Aligned) -> None:
+        k = len(basis)
+        lcms = [packing.lcm(g.lm, h.lm) for g in basis]
+        for (i, j), m in list(pending.items()):
+            if not (m - h.lm) & guard and lcms[i] != m and lcms[j] != m:
+                del pending[i, j]
+        classes: dict[int, list[int]] = {}
+        for i in active:
+            classes.setdefault(lcms[i], []).append(i)
+        minimal: list[int] = []
+        for m in sorted(classes):
+            # a divisor of m is no larger than m in any lex order
+            if any(not (m - d) & guard for d in minimal):
                 continue
-            s = _s_poly_aligned(gi, gj, shift_i, shift_j)
-            if not s:
-                continue
-            r = dict(_remainder_terms(s, basis, budget, packing.guard))
-            if r:
-                basis.append(_Aligned(_primitive_aligned(r)))
-        j += 1
+            minimal.append(m)
+            if all(m != basis[i].lm + h.lm for i in classes[m]):
+                i = classes[m][0]
+                pending[i, k] = m
+                heappush(heap, (m, i, k))
+        active[:] = [i for i in active if (basis[i].lm - h.lm) & guard]
+        active.append(k)
+        basis.append(h)
+
+    for g in presentation.generators:
+        update(_Aligned(_primitive_aligned(packing.align(g))))
+    while heap:
+        m, i, j = heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue
+        gi, gj = basis[i], basis[j]
+        s = _s_poly_aligned(gi, gj, m - gi.lm, m - gj.lm)
+        if not s:
+            continue
+        r = dict(_remainder_terms(s, basis, budget, guard))
+        if r:
+            update(_Aligned(_primitive_aligned(r)))
     return GroebnerBasis(tuple(packing.unalign(g.terms) for g in basis), presentation.order)
 
 

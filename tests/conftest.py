@@ -110,7 +110,7 @@ def normal_form(
     return packing.unalign(remainder)
 
 
-# -- the monic Buchberger: the engine's schedule over rational coefficients ------
+# -- monic Buchbergers over rational coefficients ---------------------------------
 
 
 def monic_remainder(
@@ -135,11 +135,77 @@ def monic_remainder(
     return remainder
 
 
+def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    lf, lg = leading_term(f, order)[0], leading_term(g, order)[0]
+    lcm = mono_lcm(lf, lg)
+    s = f * f.ring.from_terms({tuple(a - b for a, b in zip(lcm, lf)): 1})
+    return s - g * g.ring.from_terms({tuple(a - b for a, b in zip(lcm, lg)): 1})
+
+
+def _disjoint(a: Exponents, b: Exponents) -> bool:
+    return not any(x and y for x, y in zip(a, b))
+
+
 def monic_buchberger(
     presentation: IdealPresentation, step_budget: StepBudget | None = None
 ) -> list[Polynomial]:
-    """The engine's pair schedule on a monic working list: pairs (i, j), i < j,
-    in lexicographic order of (j, i), coprime leads skipped, each nonzero
+    """The engine's pair schedule on a monic working list, as the textbook
+    writes it: each element joins through Becker-Weispfenning's UPDATE
+    (Groebner Bases, 5.5), which takes the new pairs {g, h} from C in
+    decreasing order of g, so the smallest g of an lcm class survives; the
+    pending pair of smallest lcm, ties by (i, j), is reduced next against the
+    whole list, and each nonzero remainder is appended monic."""
+    order = presentation.order
+    key = order.key_for(presentation.ring)
+    budget = step_budget or StepBudget()
+    basis: list[Polynomial] = []
+    leads: list[Exponents] = []
+    G: list[int] = []
+    B: set[tuple[int, int]] = set()
+
+    def lcm_of(i: int, j: int) -> Exponents:
+        return mono_lcm(leads[i], leads[j])
+
+    def update(h: Polynomial) -> None:
+        nonlocal B, G
+        k = len(basis)
+        basis.append(h)
+        leads.append(leading_term(h, order)[0])
+        C = [(g, k) for g in G]
+        D: list[tuple[int, int]] = []
+        while C:
+            g1, _ = C.pop()
+            m = lcm_of(g1, k)
+            if _disjoint(leads[g1], leads[k]) or not any(
+                mono_divides(lcm_of(g2, k), m) for g2, _ in C + D
+            ):
+                D.append((g1, k))
+        E = {(g, k) for g, _ in D if not _disjoint(leads[g], leads[k])}
+        B = {
+            (g1, g2)
+            for g1, g2 in B
+            if not mono_divides(leads[k], lcm_of(g1, g2))
+            or lcm_of(g1, k) == lcm_of(g1, g2)
+            or lcm_of(g2, k) == lcm_of(g1, g2)
+        } | E
+        G = [g for g in G if not mono_divides(leads[k], leads[g])] + [k]
+
+    for g in presentation.generators:
+        update(monic(g, order))
+    while B:
+        i, j = min(B, key=lambda pair: (key(lcm_of(*pair)), pair))
+        B.remove((i, j))
+        r = monic_remainder(_s_polynomial(basis[i], basis[j], order), basis, order, budget)
+        if not r.is_zero():
+            update(monic(r, order))
+    return basis
+
+
+def plain_monic_buchberger(
+    presentation: IdealPresentation, step_budget: StepBudget | None = None
+) -> list[Polynomial]:
+    """The plain schedule on a monic working list: pairs (i, j), i < j, in
+    lexicographic order of (j, i), coprime leads skipped, each nonzero
     remainder appended monic."""
     order = presentation.order
     budget = step_budget or StepBudget()
@@ -148,13 +214,9 @@ def monic_buchberger(
     while j < len(basis):
         for i in range(j):
             f, g = basis[i], basis[j]
-            lf, lg = leading_term(f, order)[0], leading_term(g, order)[0]
-            if not any(a and b for a, b in zip(lf, lg)):
+            if _disjoint(leading_term(f, order)[0], leading_term(g, order)[0]):
                 continue
-            lcm = mono_lcm(lf, lg)
-            s = f * f.ring.from_terms({tuple(a - b for a, b in zip(lcm, lf)): 1})
-            s = s - g * g.ring.from_terms({tuple(a - b for a, b in zip(lcm, lg)): 1})
-            r = monic_remainder(s, basis, order, budget)
+            r = monic_remainder(_s_polynomial(f, g, order), basis, order, budget)
             if not r.is_zero():
                 basis.append(monic(r, order))
         j += 1

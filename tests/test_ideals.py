@@ -395,16 +395,17 @@ def j_steps(sig):
 def test_products_first_basis_equals_the_x_first_one(sig):
     # tI^x + (1-t)I^yI^z presents the same ideal's t-trick; reduced bases are
     # unique for (ideal, order), so its t-free part must be the same basis
-    x_basis, x_steps, steps = j_steps(sig)
+    x_basis = j_steps(sig)[0]
     assert basis_of(sig).order == x_basis.order
     assert basis_of(sig).elements == x_basis.elements
-    if sig.n >= 2:
-        assert steps < x_steps
 
 
-def test_products_first_halves_the_steps_up_to_n3():
+def test_both_t_trick_orders_take_pinned_steps_up_to_n3():
+    # J's steps over the N <= 3 sweep, I^x first and products first; with
+    # normal selection and Gebauer-Moeller pair management neither order
+    # is cheaper at every signature
     totals = [sum(j_steps(sig)[k] for sig in SIGNATURES_UP_TO_3) for k in (1, 2)]
-    assert totals == [111_782, 55_280]
+    assert totals == [6_915, 7_362]
 
 
 @pytest.mark.parametrize("sig", SIGNATURES_UP_TO_3, ids=str)

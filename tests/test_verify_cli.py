@@ -242,12 +242,12 @@ class TestOrbitMemo:
         [
             ("-+", "+-", BUDGET),
             ("+", "+", 1),
-            # the orbit's representative +- costs 692 steps (-+ alone would
-            # cost 742): one step short of it, cold and warm runs both run out
-            ("-+", "+-", 691),
-            # the basis and the samples take 692 + 2,283 steps, the samples
+            # the orbit's representative +- costs 178 steps: one step short
+            # of it, cold and warm runs both run out
+            ("-+", "+-", 177),
+            # the basis and the samples take 178 + 2,283 steps, the samples
             # alone fit: a hit that charged nothing would pass
-            ("-+", "+-", 2_900),
+            ("-+", "+-", 2_400),
             ("-++", "+-+", BUDGET),
         ],
         ids=["default", "one-step", "below-representative", "basis-and-samples", "three-cycle"],
@@ -296,12 +296,13 @@ class TestOrbitMemo:
         assert case.witnesses[0] == render_polynomial(target, index_desc_order(2))
 
     def test_sweep_does_not_depend_on_signature_order(self, cold_orbit_memo):
-        # a budget that passes some N = 3 cases and exhausts others
+        # a budget that passes some N = 3 cases and exhausts others: the
+        # N = 3 cases need 5,860 (-++) to 9,469 (---) steps
         sigs = [sig for n in (1, 2, 3) for sig in Signature.sweep(n)]
         reports = []
         for order in (sigs, sigs[::-1]):
             cold_orbit_memo.clear()
-            report = run_suite("oracle-equiv", 3, order, step_budget=12_000)
+            report = run_suite("oracle-equiv", 3, order, step_budget=6_600)
             report.signatures = "all"
             for case in report.cases:
                 case.wall_time_ms = 0
