@@ -269,9 +269,6 @@ class CommutingFamily:
     def n(self) -> int:
         return len(self.members)
 
-    def member(self, i: int) -> Endomorphism:
-        return self.members[i - 1]
-
     def power_endo(self, exponents: Iterable[int]) -> Endomorphism:
         """phi^I = prod phi_i^(I_i), cached per family.
 

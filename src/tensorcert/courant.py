@@ -23,16 +23,19 @@ tau_C(phi^I a, phi^J b, phi^K c) of the polynomial action.  So a bridge
 sample (a, b) gets one ``BracketTable``, which computes phi^I a and phi^J b
 once per exponent vector and each bracket once per key (I, J); it lives for
 that sample only.  Expanding the semiconcomitants, a derived tensor is
-sum M_IJ [[phi^I a, phi^J b]]; ``torsion_T_terms`` and ``tensor_P_terms``
-build the outer endomorphisms M_IJ once per identity, and the table sums
-them against its brackets with one ``dot`` per output component.  An
-exponent key names phi_j phi_i b and phi^(e_i + e_j) b alike, which the
-commutativity checked by ``CommutingFamily`` makes exact.
+sum M_IJ [[phi^I a, phi^J b]], M_IJ = sum_K s_K phi^K.  ``formal_torsion_T`` and
+``formal_tensor_P`` write it, and ``formal_action`` the action, as (I, J) -> {K: s_K}
+for every family of the signature; ``instantiate`` builds one family's M_IJ,
+and the table sums them against its brackets with one ``dot`` per output
+component.  An exponent key names phi_j phi_i b and phi^(e_i + e_j) b alike,
+which the commutativity checked by ``CommutingFamily`` makes exact.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Callable
 
 from .chart import (
@@ -43,14 +46,16 @@ from .chart import (
     _check_chart,
     _section,
 )
-from .poly import Exponents, Polynomial, dot
-from .xyz import ring_size, split_terms
+from .poly import Coefficient, Exponents, Polynomial, dot
+from .xyz import Signature, split_terms
 
 Vector = tuple[Polynomial, ...]
 # an R-trilinear form on sections, evaluated as form(a, b, c)
 Trilinear = Callable[[GeneralizedSection, GeneralizedSection, GeneralizedSection], Polynomial]
 # a derived tensor sum M_IJ [[phi^I a, phi^J b]], as (I, J) -> M_IJ
 BracketTerms = dict[tuple[Exponents, Exponents], Endomorphism]
+# the same with M_IJ = sum_K s_K phi^K, as (I, J) -> {K: s_K}, on any family
+FormalTerms = dict[tuple[Exponents, Exponents], dict[Exponents, Coefficient]]
 # a polynomial's terms c x^I y^J z^K as (I, J, K, c), c a constant of the chart ring
 ActionTerms = list[tuple[Exponents, Exponents, Exponents, Polynomial]]
 
@@ -112,11 +117,8 @@ def courant_element(chart: Chart) -> Trilinear:
 
 def action_terms(poly: Polynomial, family: CommutingFamily) -> ActionTerms:
     """The terms a_IJK x^I y^J z^K of P, each coefficient in the chart ring."""
-    n = ring_size(poly.ring)
-    if n != family.n:
-        raise ValueError(f"polynomial has {n} indices but the family has {family.n}")
     const = family.chart.ring.const
-    return [(I, J, K, const(coeff)) for I, J, K, coeff in split_terms(poly)]
+    return [(I, J, K, const(coeff)) for I, J, K, coeff in split_terms(poly, family.n)]
 
 
 def polynomial_action(
@@ -168,17 +170,10 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     pairs is one ``dot``.  A component that receives none is zero, so the
     action is tensorial iff every such ``dot`` is zero.
     """
-    if ring_size(poly.ring) != family.n:
-        raise ValueError(
-            f"polynomial has {ring_size(poly.ring)} indices but the family has {family.n}"
-        )
-    chart, sig = family.chart, family.signature
-    ring, n = chart.ring, chart.dim
+    ring, n = family.chart.ring, family.chart.dim
     size = range(2 * n)
     # the outer endomorphism sum_K c e^K phi^K, per (I, J)
-    outer: BracketTerms = {}
-    for I, J, K, coeff in split_terms(poly):
-        _add_term(outer, (I, J), family.power_endo(K).scale(coeff * sig.power(K)))
+    outer = instantiate(formal_action(poly, family.signature), family)
     # defect component (a, b, i, r) -> its nonzero pairs, per slot
     first: dict[tuple[int, int, int, int], list] = {}
     second: dict[tuple[int, int, int, int], list] = {}
@@ -205,10 +200,6 @@ def tensoriality_check(poly: Polynomial, family: CommutingFamily) -> bool:
     return not any(dot(ring, pairs) for pairs in chain(first.values(), second.values()))
 
 
-def _add_term(terms: BracketTerms, key: tuple[Exponents, Exponents], m: Endomorphism) -> None:
-    terms[key] = terms[key] + m if key in terms else m
-
-
 def _columns(endo: Endomorphism) -> list[list[tuple[int, Polynomial]]]:
     """Per column c, the (row, entry) pairs with a nonzero entry."""
     cols: list[list[tuple[int, Polynomial]]] = [[] for _ in endo.nonzero]
@@ -218,7 +209,7 @@ def _columns(endo: Endomorphism) -> list[list[tuple[int, Polynomial]]]:
     return cols
 
 
-# -- the bridge identities: one bracket table per sample ---------------------
+# -- the bridge identities: one bracket table per sample, the tensors formally --
 
 
 class BracketTable:
@@ -277,25 +268,22 @@ class BracketTable:
         )
 
 
-def _semiconcomitant_terms(
-    terms: BracketTerms,
-    family: CommutingFamily,
-    p: int,
-    q: int,
-    I: Exponents,
-    J: Exponents,
-    coeff,
+def _add_semiconcomitant(
+    terms: FormalTerms, p: int, q: int, I: Exponents, J: Exponents, c: Coefficient
 ) -> None:
-    """Add coeff K_(p,q)(phi^I a, phi^J b) to ``terms``, term by term:
-    [[phi^(I+e_p) a, phi^(J+e_q) b]] - phi_p [[phi^I a, phi^(J+e_q) b]]
-    - phi_q [[phi^(I+e_p) a, phi^J b]] + phi_p phi_q [[phi^I a, phi^J b]]."""
-    phi_p, phi_q = family.member(p), family.member(q)
-    I_p, J_q = _raised(I, p), _raised(J, q)
-    identity = family.power_endo((0,) * family.n)
-    _add_term(terms, (I_p, J_q), identity.scale(coeff))
-    _add_term(terms, (I, J_q), phi_p.scale(-coeff))
-    _add_term(terms, (I_p, J), phi_q.scale(-coeff))
-    _add_term(terms, (I, J), phi_p.compose(phi_q).scale(coeff))
+    """Add c K_(p,q)(phi^I a, phi^J b) =
+    c ([[phi^(I+e_p) a, phi^(J+e_q) b]] - phi_p [[phi^I a, phi^(J+e_q) b]]
+    - phi_q [[phi^(I+e_p) a, phi^J b]] + phi^(e_p+e_q) [[phi^I a, phi^J b]])."""
+    zero = (0,) * len(I)
+    e_p = _raised(zero, p)
+    for key, K, s in (
+        ((_raised(I, p), _raised(J, q)), zero, c),
+        ((I, _raised(J, q)), e_p, -c),
+        ((_raised(I, p), J), _raised(zero, q), -c),
+        ((I, J), _raised(e_p, q), c),
+    ):
+        outer = terms.setdefault(key, {})
+        outer[K] = outer.get(K, 0) + s
 
 
 def _raised(exponents: Exponents, i: int) -> Exponents:
@@ -303,35 +291,52 @@ def _raised(exponents: Exponents, i: int) -> Exponents:
     return exponents[: i - 1] + (exponents[i - 1] + 1,) + exponents[i:]
 
 
-def _nonzero_terms(terms: BracketTerms) -> BracketTerms:
-    """The terms whose matrix has a nonzero entry; the rest need no bracket."""
-    return {key: m for key, m in terms.items() if any(m.nonzero)}
+def _without_zero_terms(terms: FormalTerms) -> FormalTerms:
+    """The terms with zero coefficients, and then empty keys, dropped."""
+    kept = {key: {K: s for K, s in outer.items() if s} for key, outer in terms.items()}
+    return {key: outer for key, outer in kept.items() if outer}
 
 
-def torsion_T_terms(i: int, j: int, k: int, family: CommutingFamily) -> BracketTerms:
-    """The derived tensor T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b)
-    as sum M_IJ [[phi^I a, phi^J b]], where K is the semiconcomitant
+def formal_torsion_T(i: int, j: int, k: int, sig: Signature) -> FormalTerms:
+    """The derived tensor T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b),
+    where K is the semiconcomitant
 
         K_(p,q)(a,b) = [[p a, q b]] - p [[a, q b]] - q [[p a, b]] + p q [[a, b]].
     """
-    sig = family.signature
-    zero = (0,) * family.n
+    zero = (0,) * sig.n
     e_i = _raised(zero, i)
-    terms: BracketTerms = {}
-    _semiconcomitant_terms(terms, family, k, j, zero, e_i, sig[i] * sig[k])
-    _semiconcomitant_terms(terms, family, k, j, e_i, zero, -sig[k])
-    return _nonzero_terms(terms)
+    terms: FormalTerms = {}
+    _add_semiconcomitant(terms, k, j, zero, e_i, sig[i] * sig[k])
+    _add_semiconcomitant(terms, k, j, e_i, zero, -sig[k])
+    return _without_zero_terms(terms)
 
 
-def tensor_P_terms(i: int, j: int, family: CommutingFamily) -> BracketTerms:
-    """The derived tensor P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b) as
-    sum M_IJ [[phi^I a, phi^J b]]; symmetric indices only."""
-    sig = family.signature
+def formal_tensor_P(i: int, j: int, sig: Signature) -> FormalTerms:
+    """The derived tensor P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b), i and j symmetric."""
     for idx in (i, j):
         if sig[idx] != 1:
             raise ValueError(f"index {idx} is skew; the P tensor needs symmetric indices")
-    zero = (0,) * family.n
-    terms: BracketTerms = {}
-    _semiconcomitant_terms(terms, family, i, j, zero, zero, 1)
-    _semiconcomitant_terms(terms, family, j, i, zero, zero, -1)
-    return _nonzero_terms(terms)
+    zero = (0,) * sig.n
+    terms: FormalTerms = {}
+    _add_semiconcomitant(terms, i, j, zero, zero, 1)
+    _add_semiconcomitant(terms, j, i, zero, zero, -1)
+    return _without_zero_terms(terms)
+
+
+def formal_action(poly: Polynomial, sig: Signature) -> FormalTerms:
+    """The polynomial action as the tensor it pairs with c: (I, J) -> {K: c e^K}
+    over the terms c x^I y^J z^K, because (phi^K)* = e^K phi^K."""
+    out: FormalTerms = {}
+    for I, J, K, c in split_terms(poly, sig.n):
+        out.setdefault((I, J), {})[K] = c * sig.power(K)
+    return out
+
+
+def instantiate(terms: FormalTerms, family: CommutingFamily) -> BracketTerms:
+    """(I, J) -> sum_K s_K phi^K on one family, zero matrices (no bracket) dropped."""
+    out: BracketTerms = {}
+    for key, outer in terms.items():
+        m = reduce(add, (family.power_endo(K).scale(s) for K, s in outer.items()))
+        if any(m.nonzero):
+            out[key] = m
+    return out

@@ -149,13 +149,10 @@ def is_universally_tensorial_linear(f: Polynomial, sig: Signature) -> bool:
     family by family: a polynomial that fails here can still be tensorial on
     one family.
     """
-    n = ring_size(f.ring)
-    if n != sig.n:
-        raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
     skew = sig.skew
     buckets: dict[tuple, Coefficient] = {}
     get = buckets.get
-    for I, J, K, a in split_terms(f):
+    for I, J, K, a in split_terms(f, sig.n):
         for key, E in (
             ((0, I, tuple(map(add, J, K))), J),  # a_{I, J, T-J} with J = J
             ((1, K, tuple(map(add, I, J))), I),  # a_{J, T-J, I}: J = I, I = K
@@ -175,11 +172,8 @@ def vanishes_on_variety(f: Polynomial, sig: Signature) -> bool:
     parity of J's skew exponents, and each substitution is one pass that
     sums the signed coefficients by image monomial.
     """
-    n = ring_size(f.ring)
-    if n != sig.n:
-        raise ValueError(f"polynomial has {n} indices but the signature has {sig.n}")
     skew = sig.skew
-    terms = split_terms(f)
+    terms = split_terms(f, sig.n)
     # (substituted, untouched, receiving) positions in (I, J, K)
     for src, keep, dst in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
         image: dict[tuple, Coefficient] = {}

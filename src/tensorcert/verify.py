@@ -36,10 +36,11 @@ from .chart import CommutingFamily, GeneralizedSection
 from .courant import (
     BracketTable,
     action_terms,
+    formal_tensor_P,
+    formal_torsion_T,
     inner_product,
-    tensor_P_terms,
+    instantiate,
     tensoriality_check,
-    torsion_T_terms,
 )
 from .fleet import FleetFamily
 from .groebner import (
@@ -556,19 +557,19 @@ def tensoriality_case(entry: FleetFamily) -> CaseResult:
 
         index_triples = list(itertools.product(range(1, n + 1), repeat=3))
         rng.shuffle(index_triples)
-        # (witness label, generator, derived tensor's bracket terms) of each identity
+        # (witness label, generator, derived tensor's formal terms) of each identity
         bridges = [
-            (f"torsion bridge {i}{j}{k}", generator_T(i, j, k, sig, ring), torsion_T_terms(i, j, k, family))
+            (f"torsion bridge {i}{j}{k}", generator_T(i, j, k, sig, ring), formal_torsion_T(i, j, k, sig))
             for i, j, k in index_triples[:4]
         ]
         bridges += [
-            (f"quadratic bridge {i}{j}", generator_P(i, j, sig, ring), tensor_P_terms(i, j, family))
+            (f"quadratic bridge {i}{j}", generator_P(i, j, sig, ring), formal_tensor_P(i, j, sig))
             for i, j in itertools.combinations(range(1, n + 1), 2)
             if sig[i] == 1 and sig[j] == 1
         ]
         bridge_ok = 0
-        for label, poly, tensor in bridges:
-            terms = action_terms(poly, family)
+        for label, poly, derived in bridges:
+            tensor, terms = instantiate(derived, family), action_terms(poly, family)
             for _ in range(BRIDGE_SAMPLES):
                 a, b, c = (random_section(rng, family) for _ in range(3))
                 table = BracketTable(family, a, b)

@@ -59,16 +59,17 @@ def uses_t(f: Polynomial) -> bool:
     return any(m[t] for m, _ in f.terms())
 
 
-def split_terms(f: Polynomial) -> list[tuple[Exponents, Exponents, Exponents, Coefficient]]:
-    """(I, J, K, coefficient) for every term x^I y^J z^K of a t-free polynomial.
+def split_terms(f: Polynomial, n: int) -> list[tuple[Exponents, Exponents, Exponents, Coefficient]]:
+    """(I, J, K, coefficient) for every term x^I y^J z^K of a t-free polynomial in n indices.
 
     Relies on the layout of ``xyz_ring``: t first if present, then the x, y
     and z blocks, each by index ascending, so I, J and K are slices.
     """
+    ring = f.ring
+    if ring_size(ring) != n:
+        raise ValueError(f"polynomial has {ring_size(ring)} indices but the signature has {n}")
     if uses_t(f):
         raise ValueError("the x^I y^J z^K split is undefined for t-dependent polynomials")
-    ring = f.ring
-    n = ring_size(ring)
     with_t = "t" in ring
     if ring != xyz_ring(n, with_t):
         raise ValueError(f"{ring!r} does not have the xyz ring layout")

@@ -6,14 +6,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import mul
 
 import pytest
 from hypothesis import strategies as st
 
 from tensorcert import groebner
 from tensorcert.chart import Chart, CommutingFamily, Endomorphism, GeneralizedSection
-from tensorcert.courant import BracketTable, courant_bracket, tensor_P_terms, torsion_T_terms
+from tensorcert.courant import (
+    BracketTable,
+    courant_bracket,
+    formal_tensor_P,
+    formal_torsion_T,
+    instantiate,
+)
 from tensorcert.groebner import GroebnerBasis, IdealPresentation, StepBudget
 from tensorcert.poly import (
     Coefficient,
@@ -237,7 +243,7 @@ def linear_by_power(f: Polynomial, sig: Signature) -> bool:
     """Reference: the three equation families on a_{I,J,K}, signs by
     ``Signature.power``."""
     buckets: dict[tuple, Coefficient] = {}
-    for I, J, K, a in split_terms(f):
+    for I, J, K, a in split_terms(f, sig.n):
         t_jk = tuple(p + q for p, q in zip(J, K))
         t_ij = tuple(p + q for p, q in zip(I, J))
         t_ik = tuple(p + q for p, q in zip(I, K))
@@ -352,7 +358,7 @@ def multidegree_components(f: Polynomial) -> dict[tuple[int, ...], Polynomial]:
     On a t-free xyz ring a monomial's exponent tuple is I + J + K.
     """
     parts: dict[tuple[int, ...], dict] = {}
-    for I, J, K, c in split_terms(f):
+    for I, J, K, c in split_terms(f, ring_size(f.ring)):
         parts.setdefault(tuple(map(sum, zip(I, J, K))), {})[I + J + K] = c
     return {degree: f.ring.from_terms(terms) for degree, terms in sorted(parts.items())}
 
@@ -388,14 +394,16 @@ def torsion_T(
     i: int, j: int, k: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
 ) -> GeneralizedSection:
     """T^{ijk}(a, b) through one bracket table, as the tensoriality suite computes it."""
-    return BracketTable(family, a, b).tensor(torsion_T_terms(i, j, k, family))
+    terms = instantiate(formal_torsion_T(i, j, k, family.signature), family)
+    return BracketTable(family, a, b).tensor(terms)
 
 
 def tensor_P(
     i: int, j: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
 ) -> GeneralizedSection:
     """P^{ij}(a, b) through one bracket table, as the tensoriality suite computes it."""
-    return BracketTable(family, a, b).tensor(tensor_P_terms(i, j, family))
+    terms = instantiate(formal_tensor_P(i, j, family.signature), family)
+    return BracketTable(family, a, b).tensor(terms)
 
 
 def semiconcomitant(
@@ -418,7 +426,7 @@ def reference_torsion_T(
 ) -> GeneralizedSection:
     """T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b), sequentially."""
     sig = family.signature
-    phi_k, phi_j, phi_i = family.member(k), family.member(j), family.member(i)
+    phi_k, phi_j, phi_i = (family.members[m - 1] for m in (k, j, i))
     first = semiconcomitant(phi_k, phi_j, a, phi_i.apply(b)).scale(sig[i] * sig[k])
     second = semiconcomitant(phi_k, phi_j, phi_i.apply(a), b).scale(sig[k])
     return first - second
@@ -428,85 +436,8 @@ def reference_tensor_P(
     i: int, j: int, family: CommutingFamily, a: GeneralizedSection, b: GeneralizedSection
 ) -> GeneralizedSection:
     """P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b), sequentially."""
-    phi_i, phi_j = family.member(i), family.member(j)
+    phi_i, phi_j = family.members[i - 1], family.members[j - 1]
     return semiconcomitant(phi_i, phi_j, a, b) - semiconcomitant(phi_j, phi_i, a, b)
-
-
-# -- the bridge identities formally: exponent bookkeeping, no family, no bracket --
-
-# a derived tensor sum M_IJ [[phi^I a, phi^J b]] with M_IJ = sum_K s_K phi^K,
-# as (I, J) -> {K: s_K}, which means the same on every family of the signature
-FormalTerms = dict[tuple[Exponents, Exponents], dict[Exponents, Coefficient]]
-
-
-def _unit(n: int, p: int) -> Exponents:
-    """e_p, for a 1-based index p."""
-    return tuple(int(i == p) for i in range(1, n + 1))
-
-
-def _plus(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
-
-def add_formal_semiconcomitant(
-    terms: FormalTerms, p: int, q: int, I: Exponents, J: Exponents, c: Coefficient
-) -> None:
-    """Add c K_(p,q)(phi^I a, phi^J b) =
-    c ([[phi^(I+e_p) a, phi^(J+e_q) b]] - phi_p [[phi^I a, phi^(J+e_q) b]]
-    - phi_q [[phi^(I+e_p) a, phi^J b]] + phi^(e_p+e_q) [[phi^I a, phi^J b]])."""
-    n = len(I)
-    e_p, e_q = _unit(n, p), _unit(n, q)
-    for key, K, s in (
-        ((_plus(I, e_p), _plus(J, e_q)), (0,) * n, c),
-        ((I, _plus(J, e_q)), e_p, -c),
-        ((_plus(I, e_p), J), e_q, -c),
-        ((I, J), _plus(e_p, e_q), c),
-    ):
-        outer = terms.setdefault(key, {})
-        outer[K] = outer.get(K, 0) + s
-
-
-def without_zero_terms(terms: FormalTerms) -> FormalTerms:
-    """The terms with zero coefficients, and then empty keys, dropped."""
-    kept = {key: {K: s for K, s in outer.items() if s} for key, outer in terms.items()}
-    return {key: outer for key, outer in kept.items() if outer}
-
-
-def formal_torsion_T(i: int, j: int, k: int, sig: Signature) -> FormalTerms:
-    """T^{ijk}(a,b) = e_i e_k K_(k,j)(a, phi_i b) - e_k K_(k,j)(phi_i a, b), formally."""
-    zero, e_i = (0,) * sig.n, _unit(sig.n, i)
-    terms: FormalTerms = {}
-    add_formal_semiconcomitant(terms, k, j, zero, e_i, sig[i] * sig[k])
-    add_formal_semiconcomitant(terms, k, j, e_i, zero, -sig[k])
-    return without_zero_terms(terms)
-
-
-def formal_tensor_P(i: int, j: int, sig: Signature) -> FormalTerms:
-    """P^{ij}(a,b) = K_(i,j)(a,b) - K_(j,i)(a,b), formally."""
-    zero = (0,) * sig.n
-    terms: FormalTerms = {}
-    add_formal_semiconcomitant(terms, i, j, zero, zero, 1)
-    add_formal_semiconcomitant(terms, j, i, zero, zero, -1)
-    return without_zero_terms(terms)
-
-
-def formal_action(poly: Polynomial, sig: Signature) -> FormalTerms:
-    """The polynomial action as the tensor it pairs with c: (I, J) -> {K: c e^K}
-    over the terms c x^I y^J z^K, because (phi^K)* = e^K phi^K."""
-    out: FormalTerms = {}
-    for I, J, K, c in split_terms(poly):
-        out.setdefault((I, J), {})[K] = c * sig.power(K)
-    return without_zero_terms(out)
-
-
-def instantiate(terms: FormalTerms, family: CommutingFamily) -> dict:
-    """(I, J) -> sum_K s_K phi^K on one family, zero matrices dropped."""
-    out = {}
-    for key, outer in terms.items():
-        m = reduce(add, (family.power_endo(K).scale(s) for K, s in outer.items()))
-        if any(m.nonzero):
-            out[key] = m
-    return out
 
 
 def reference_compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:

@@ -1,7 +1,6 @@
 """Acceptance suite: every exit criterion, exact tolerances, one line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The N=4 sweep and the
-N=6 profile are opt-in: ``pytest -m slow tests/test_acceptance.py``.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 
 One criterion is expected to fail and is marked strict-xfail: squarefreeness
 of the initial ideal of the triple intersection.  The single-index part of
@@ -338,7 +337,6 @@ def _restrict(family: CommutingFamily) -> CommutingFamily:
     return CommutingFamily((family.members[0],), Signature((family.signature[1],)))
 
 
-@pytest.mark.slow
 def test_n4_sweep():
     """All sixteen length-4 signatures, within the half-hour budget."""
     started = time.perf_counter()
@@ -354,7 +352,6 @@ def test_n4_sweep():
     assert elapsed < 1800.0
 
 
-@pytest.mark.slow
 def test_n6_profile_signature_extremes():
     """The computer-checked base case at the two signature extremes.
 

@@ -227,7 +227,7 @@ class TestFamilies:
         o, z = chart.ring.one, chart.ring.zero
         phi = Endomorphism(chart, [[o, z], [z, -o]])
         family = CommutingFamily([phi, phi], Signature((-1, -1)))
-        assert family.member(1) == family.member(2)
+        assert family.members[0] == family.members[1]
 
     def test_wrong_symmetry_type_rejected(self):
         chart = Chart(1)

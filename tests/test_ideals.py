@@ -481,17 +481,23 @@ def initial_numerator(basis, sig):
     return hilbert_numerator(leading_term(g, order)[0] for g in basis)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# N -> (committed report, the signatures of its gen-set cases)
+GOLDEN_GEN_SET = {
+    n: (f"report-all-n{n}.json", [str(sig) for k in range(1, n + 1) for sig in Signature.sweep(k)])
+    for n in (1, 2, 3, 4)
+} | {5: ("report-all-n5-sig.json", ["+++++", "++---"])}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_GEN_SET))
 def test_golden_gen_set_bases_are_the_reduced_bases(n):
     """Each committed basis B of I_eps vanishes on the three components, so
     B lies in I_eps (an intersection of primes), and <in B> lies in in(I_eps).
     B is reduced under the index-descending order, and <in B> has the closed
     form's Hilbert numerator, so <in B> = in(I_eps): B is the reduced
     Groebner basis, with no Buchberger run to say so."""
-    bases = golden_gen_set_bases(f"report-all-n{n}.json")
-    assert sorted(str(sig) for sig in bases) == sorted(
-        str(sig) for k in range(1, n + 1) for sig in Signature.sweep(k)
-    )
+    name, signatures = GOLDEN_GEN_SET[n]
+    bases = golden_gen_set_bases(name)
+    assert sorted(str(sig) for sig in bases) == sorted(signatures)
     for sig, basis in bases.items():
         assert all(variety_by_substitution(g, sig) for g in basis), sig
         assert is_reduced_basis(basis, index_desc_order(sig.n)), sig

@@ -89,22 +89,22 @@ class TestSplitTerms:
     def test_blocks_with_and_without_t(self):
         f = p(R2, "3*x1*y2^2*z1 - x2")
         expected = [((1, 0), (0, 2), (1, 0), 3), ((0, 1), (0, 0), (0, 0), -1)]
-        assert sorted(split_terms(f)) == sorted(expected)
+        assert sorted(split_terms(f, 2)) == sorted(expected)
         t_free = f.map_ring(xyz_ring(2, with_t=True))
         assert not uses_t(t_free)
-        assert sorted(split_terms(t_free)) == sorted(expected)
+        assert sorted(split_terms(t_free, 2)) == sorted(expected)
 
     def test_t_dependent_polynomial_refused(self):
         rt = xyz_ring(1, with_t=True)
         f = rt.var("t") * rt.var("x1")
         assert uses_t(f) and not uses_t(p(R1, "x1"))
         with pytest.raises(ValueError):
-            split_terms(f)
+            split_terms(f, 1)
 
     def test_foreign_layout_refused(self):
         ring = PolyRing(["y1", "x1", "z1"])
         with pytest.raises(ValueError, match="layout"):
-            split_terms(ring.var("x1"))
+            split_terms(ring.var("x1"), 1)
 
 
 class TestMultidegree:
